@@ -23,6 +23,7 @@ import threading
 
 from . import antirho as ar
 from . import bterm as bt
+from . import cycles
 from . import restricted as rr
 from .canonical import canonicalize, equivalent_bterms
 from .cycle_detect import find_rho, iterate
@@ -114,7 +115,8 @@ def cmd_rho(args) -> int:
     elif args.engine == "lambda":
         from .lambda_oracle import rho_lambda
 
-        result = rho_lambda(_lambda_input(args.term), max_steps=args.max_steps)
+        result = rho_lambda(_lambda_input(args.term), max_steps=args.max_steps,
+                            algorithm=args.algorithm)
         entry, cycle = result.entry, result.cycle
     else:
         entry, cycle = rr.find_rho_restricted(
@@ -189,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("term", help="B-term; with --engine lambda also a combinator name")
     p.add_argument("--engine", choices=("canonical", "lambda", "restricted"),
                    default="canonical")
-    p.add_argument("--algorithm", choices=("brent", "floyd"), default="brent")
-    p.add_argument("--max-steps", type=int, default=10**10)
+    p.add_argument("--algorithm", choices=cycles.ALGORITHMS, default="brent")
+    p.add_argument("--max-steps", type=int, default=cycles.MAX_STEPS)
     p.add_argument("--checkpoint", metavar="PATH",
                    help="write periodic checkpoints (canonical engine only)")
     p.add_argument("--checkpoint-interval", type=int, default=10**7,
@@ -229,8 +231,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "engine", None) != "canonical":
-        if getattr(args, "checkpoint", None) or getattr(args, "resume", False):
-            parser.error("--checkpoint/--resume need --engine canonical")
+        if (getattr(args, "checkpoint", None) or getattr(args, "resume", False)
+                or getattr(args, "progress", False)):
+            parser.error("--checkpoint/--resume/--progress need --engine canonical")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -2,7 +2,9 @@
 
 The orbit of a B-term X is X(1) = X, X(i+1) = X(i) X. find_rho locates the
 least (entry, cycle) with canonical(X(entry)) = canonical(X(entry + cycle)),
-advancing entirely in degree-sequence space via fast_apply.apply_runs.
+advancing entirely in degree-sequence space via fast_apply.apply_runs. The
+Floyd and Brent searches themselves are cycles.search; this module adds the
+canonical step and the checkpoint file.
 
 Long searches can write periodic checkpoints and resume after a hard kill.
 A checkpoint is ten lines of text:
@@ -23,8 +25,8 @@ while phases 1-2 run; phase 3 stores the entry found by phase 2 in m and
 moves the meeting index (a multiple of the cycle length) into candidate_c.
 For Brent, m stays "-" and candidate_c holds the cycle length once phase 1
 finds it. slow and fast are run-length encoded degree sequences. Writes are
-atomic (temp file + rename) and only ever happen at loop boundaries, so a
-checkpoint always describes a consistent search position. The file is
+atomic (temp file, fsync, rename) and only ever happen at loop boundaries,
+so a checkpoint always describes a consistent search position. The file is
 removed when a search completes.
 
 Budgets count advances (one advance = one application of X) and apply per
@@ -39,7 +41,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from . import bterm as bt
+from . import cycles
 from .canonical import DegreeSeq, Runs, canonicalize, parse_seq
+from .cycles import SearchState
 from .errors import CheckpointIO, CycleNotFound, FormatVersionMismatch
 from .fast_apply import apply_runs, raise_runs
 
@@ -57,39 +61,6 @@ class RhoResult:
     def __iter__(self):
         yield self.entry
         yield self.cycle
-
-
-@dataclass(slots=True)
-class SearchState:
-    """Mutable position of a running search. Fields mirror the checkpoint
-    format; base is derived from term_text and advances counts this run's
-    applications (monotone, safe to read from a monitor thread)."""
-
-    term_text: str
-    algorithm: str
-    phase: int
-    step: int
-    m: int | None
-    candidate_c: int | None
-    slow: Runs
-    fast: Runs
-    base: Runs
-    advances: int = 0
-
-
-def _fresh_state(term_text: str, algorithm: str, base: Runs) -> SearchState:
-    rbase = raise_runs(base)
-    return SearchState(
-        term_text=term_text,
-        algorithm=algorithm,
-        phase=1,
-        step=1,
-        m=None,
-        candidate_c=None,
-        slow=base,
-        fast=apply_runs(base, rbase),
-        base=base,
-    )
 
 
 def _opt(v: int | None) -> str:
@@ -116,6 +87,8 @@ def save_checkpoint(state: SearchState, path: str) -> None:
     try:
         with open(tmp, "w") as fh:
             fh.write(text + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         raise CheckpointIO(f"cannot write checkpoint {path!r}: {exc}") from exc
@@ -157,7 +130,7 @@ def load_checkpoint(path: str) -> SearchState:
     if engine != ENGINE_NAME:
         raise CheckpointIO(f"checkpoint {path!r} is for engine {engine!r}, not {ENGINE_NAME!r}")
     algorithm = _field(lines, 3, "algorithm", path)
-    if algorithm not in ("floyd", "brent"):
+    if algorithm not in cycles.ALGORITHMS:
         raise CheckpointIO(f"checkpoint {path!r}: unknown algorithm {algorithm!r}")
     phase = _opt_int(_field(lines, 4, "phase", path), "phase", path)
     step = _opt_int(_field(lines, 5, "step", path), "step", path)
@@ -190,131 +163,10 @@ def load_checkpoint(path: str) -> SearchState:
     )
 
 
-class _Run:
-    """Budget, checkpoint and hook plumbing around one search."""
-
-    __slots__ = (
-        "st", "rbase", "left", "limit", "path", "interval", "seconds",
-        "hook", "last_saved_at", "last_saved_time",
-    )
-
-    def __init__(self, st, max_steps, path, interval, seconds, hook):
-        self.st = st
-        self.rbase = raise_runs(st.base)
-        self.left = max_steps - st.advances
-        self.limit = max_steps
-        self.path = path
-        self.interval = interval
-        self.seconds = seconds
-        self.hook = hook
-        self.last_saved_at = st.advances
-        self.last_saved_time = time.monotonic()
-
-    def advance(self, runs: Runs) -> Runs:
-        if self.left <= 0:
-            # state still describes the last completed loop iteration
-            if self.path is not None:
-                save_checkpoint(self.st, self.path)
-            raise CycleNotFound(self.limit)
-        self.left -= 1
-        self.st.advances += 1
-        return apply_runs(runs, self.rbase)
-
-    def bookkeeping(self) -> None:
-        st = self.st
-        if self.path is not None:
-            due = st.advances - self.last_saved_at >= self.interval
-            if due or time.monotonic() - self.last_saved_time >= self.seconds:
-                save_checkpoint(st, self.path)
-                self.last_saved_at = st.advances
-                self.last_saved_time = time.monotonic()
-        if self.hook is not None:
-            self.hook(st)
-
-
-def _run_floyd(run: _Run) -> RhoResult:
-    st = run.st
-    base = st.base
-    while True:
-        if st.phase == 1:
-            # invariant: slow = X(step), fast = X(2 step)
-            if st.slow == st.fast:
-                nxt = run.advance(st.slow)
-                st.m = st.step
-                st.fast = nxt
-                st.slow = base
-                st.step = 1
-                st.phase = 2
-            else:
-                st.slow = run.advance(st.slow)
-                st.fast = run.advance(run.advance(st.fast))
-                st.step += 1
-        elif st.phase == 2:
-            # invariant: slow = X(step), fast = X(m + step); first meeting
-            # is the entry because m is a multiple of the cycle length
-            if st.slow == st.fast:
-                nxt = run.advance(st.slow)
-                st.candidate_c = st.m
-                st.m = st.step
-                st.fast = nxt
-                st.step = 1
-                st.phase = 3
-            else:
-                st.slow = run.advance(st.slow)
-                st.fast = run.advance(st.fast)
-                st.step += 1
-        else:
-            # invariant: slow = X(entry) with entry in m, fast = X(entry + step)
-            if st.slow == st.fast:
-                return RhoResult(st.m, st.step)
-            st.fast = run.advance(st.fast)
-            st.step += 1
-        run.bookkeeping()
-
-
-def _run_brent(run: _Run) -> RhoResult:
-    st = run.st
-    base = st.base
-    if st.phase == 1:
-        # invariant: fast = X(1 + step); slow anchors the latest power-of-two
-        # index, and lam counts fast's lead over the anchor
-        power = 1 << (st.step.bit_length() - 1)
-        lam = st.step - power + 1
-        while True:
-            if st.slow == st.fast:
-                # lam is the exact cycle length; rebuild fast = X(1 + lam)
-                # and scan for the entry in lockstep
-                f = base
-                for _ in range(lam):
-                    f = run.advance(f)
-                st.candidate_c = lam
-                st.fast = f
-                st.slow = base
-                st.step = 1
-                st.phase = 2
-                break
-            if power == lam:
-                st.slow = st.fast
-                power <<= 1
-                lam = 0
-            st.fast = run.advance(st.fast)
-            lam += 1
-            st.step += 1
-            run.bookkeeping()
-    while True:
-        # invariant: slow = X(step), fast = X(step + candidate_c)
-        if st.slow == st.fast:
-            return RhoResult(st.step, st.candidate_c)
-        st.slow = run.advance(st.slow)
-        st.fast = run.advance(st.fast)
-        st.step += 1
-        run.bookkeeping()
-
-
 def find_rho(
     x: TermLike,
     algorithm: str = "brent",
-    max_steps: int = 10**10,
+    max_steps: int = cycles.MAX_STEPS,
     checkpoint_path: str | None = None,
     checkpoint_interval: int = 10**7,
     checkpoint_seconds: float = 60.0,
@@ -325,8 +177,9 @@ def find_rho(
     """Find the least (entry, cycle) of the self-application orbit of x.
 
     x may be a BTerm or source text. algorithm is "brent" (default) or
-    "floyd". Raises CycleNotFound after max_steps advances, writing a final
-    checkpoint first when checkpoint_path is set.
+    "floyd". Raises CycleNotFound rather than make more than max_steps
+    advances in this run, writing a final checkpoint first when
+    checkpoint_path is set; resuming from it continues the same search.
 
     With checkpoint_path, progress is saved every checkpoint_interval
     advances or checkpoint_seconds seconds, whichever comes first, and the
@@ -340,8 +193,13 @@ def find_rho(
         x = bt.parse(x)
     term_text = bt.format_bterm(x)
     base = canonicalize(x).runs
-    if algorithm not in ("floyd", "brent"):
+    if algorithm not in cycles.ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    rbase = raise_runs(base)
+
+    def advance(runs: Runs) -> Runs:
+        return apply_runs(runs, rbase)
+
     if resume:
         if checkpoint_path is None:
             raise CheckpointIO("resume requested without a checkpoint path")
@@ -352,16 +210,27 @@ def find_rho(
                 f"which does not match {term_text!r}"
             )
     else:
-        st = _fresh_state(term_text, algorithm, base)
-        st.advances = 1  # the fresh fast pointer cost one application
-    run = _Run(st, max_steps, checkpoint_path, checkpoint_interval,
-               checkpoint_seconds, state_hook)
+        st = cycles.start(base, advance, algorithm, term_text)
     if on_start is not None:
         on_start(st)
-    if st.algorithm == "floyd":
-        result = _run_floyd(run)
-    else:
-        result = _run_brent(run)
+    saved = [st.advances, time.monotonic()]  # advances and time of the last save
+
+    def tick(st: SearchState) -> None:
+        if checkpoint_path is not None:
+            if (st.advances - saved[0] >= checkpoint_interval
+                    or time.monotonic() - saved[1] >= checkpoint_seconds):
+                save_checkpoint(st, checkpoint_path)
+                saved[:] = st.advances, time.monotonic()
+        if state_hook is not None:
+            state_hook(st)
+
+    ticking = checkpoint_path is not None or state_hook is not None
+    try:
+        entry, cycle = cycles.search(st, advance, max_steps, tick if ticking else None)
+    except CycleNotFound:
+        if checkpoint_path is not None:
+            save_checkpoint(st, checkpoint_path)
+        raise
     if checkpoint_path is not None:
         try:
             os.remove(checkpoint_path)
@@ -369,7 +238,7 @@ def find_rho(
             pass
         except OSError as exc:
             raise CheckpointIO(f"cannot remove checkpoint {checkpoint_path!r}: {exc}") from exc
-    return result
+    return RhoResult(entry, cycle)
 
 
 def iterate(x: TermLike, count: int) -> Iterator[DegreeSeq]:

@@ -237,20 +237,23 @@ def term_stats(t: LambdaTerm, max_steps: int = DEFAULT_BUDGET) -> TermStats:
     return TermStats(n, len(args), args[0] if args else None)
 
 
-def rho_lambda(t: LambdaTerm, max_steps: int = 10**4):
+def rho_lambda(t: LambdaTerm, max_steps: int = cycles.MAX_STEPS,
+               algorithm: str = "brent"):
     """Cycle of the flat self-application sequence of t under beta-eta equality.
 
     Returns a cycle_detect.RhoResult. States are normal forms; each advance is
     one application followed by normalization, so this is the slow reference
-    engine. Raises CycleNotFound past the horizon, StepBudgetExceeded if a
-    normal form cannot be reached.
+    engine. algorithm is "brent" (default) or "floyd". Raises CycleNotFound
+    past the horizon, StepBudgetExceeded if a normal form cannot be reached.
     """
     from .cycle_detect import RhoResult
 
     base = normalize(t)
-    entry, cycle = cycles.floyd_rho(
-        base, lambda cur: normalize(App(cur, base)), max_steps=max_steps)
-    return RhoResult(entry, cycle)
+
+    def advance(cur: LambdaTerm) -> LambdaTerm:
+        return normalize(App(cur, base))
+
+    return RhoResult(*cycles.search(cycles.start(base, advance, algorithm), advance, max_steps))
 
 
 def format_lambda(t: LambdaTerm) -> str:

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .cycles import brent_rho, floyd_rho
+from . import cycles
 from .errors import ParseError, StepBudgetExceeded
 
 
@@ -290,14 +290,12 @@ def requivalent(t1: RTerm, t2: RTerm, max_steps: int = 10**7) -> bool:
 def find_rho_restricted(
     x: RTerm | str,
     algorithm: str = "brent",
-    max_steps: int = 10**6,
+    max_steps: int = cycles.MAX_STEPS,
     rewrite_budget: int = 10**7,
 ) -> tuple[int, int]:
     """Least (entry, cycle) of the self-application orbit of x under the
     restricted rule, comparing normal forms syntactically. max_steps bounds
     orbit advances, rewrite_budget bounds total contractions."""
-    if algorithm not in ("floyd", "brent"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     if isinstance(x, str):
         x = parse_rterm(x)
     eng = RestrictedEngine(rewrite_budget)
@@ -306,9 +304,7 @@ def find_rho_restricted(
     def advance(i: int) -> int:
         return eng.normalize(eng.app(i, base))
 
-    search = brent_rho if algorithm == "brent" else floyd_rho
-    entry, cycle = search(base, advance, max_steps)
-    return entry, cycle
+    return cycles.search(cycles.start(base, advance, algorithm), advance, max_steps)
 
 
 def iterate_restricted(

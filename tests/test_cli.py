@@ -85,6 +85,29 @@ class TestRho:
             main(["rho", "--engine", "lambda", "--checkpoint", "/tmp/x", "B"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("engine", ["lambda", "restricted"])
+    def test_progress_requires_canonical_engine(self, capsys, engine):
+        with pytest.raises(SystemExit) as exc:
+            main(["rho", "--engine", engine, "--progress", "B"])
+        assert exc.value.code == 2
+
+    def test_lambda_engine_passes_algorithm(self, capsys, monkeypatch):
+        from bluebird import lambda_oracle as lo
+
+        seen = []
+        real = lo.rho_lambda
+
+        def spy(t, **kw):
+            seen.append(kw["algorithm"])
+            return real(t, **kw)
+
+        monkeypatch.setattr(lo, "rho_lambda", spy)
+        for algorithm in ("floyd", "brent"):
+            code, out, _ = run(capsys, "rho", "--engine", "lambda",
+                               "--algorithm", algorithm, "K")
+            assert (code, out) == (0, "rho = (1, 2)\n")
+        assert seen == ["floyd", "brent"]
+
     def test_checkpoint_roundtrip_through_cli(self, capsys, tmp_path):
         path = str(tmp_path / "ck")
         code, out, _ = run(capsys, "rho", "--checkpoint", path, "B^1 B")

@@ -1,10 +1,12 @@
 """Cycle detection on canonical forms: values, checkpointing, resume."""
 
 import os
+from functools import lru_cache
 
 import pytest
 
 from bluebird import bterm as bt
+from bluebird import cycle_detect
 from bluebird.cycle_detect import (
     RhoResult,
     SearchState,
@@ -14,6 +16,7 @@ from bluebird.cycle_detect import (
     save_checkpoint,
 )
 from bluebird.errors import CheckpointIO, CycleNotFound, FormatVersionMismatch
+from bluebird.fast_apply import apply_runs
 
 from .support import brute_rho
 
@@ -145,6 +148,23 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointIO):
             load_checkpoint(junk)
 
+    @pytest.mark.parametrize("text", [
+        "algorithm: floyd\nphase: 2\nstep: 13\nm: 288\ncandidate_c: -\n"
+        "slow: 9*1,7*1,5*1,2*3\nfast: 17*1,14*2,12*1,8*4,6*1,4*1,2*1",
+        "algorithm: floyd\nphase: 3\nstep: 15\nm: 258\ncandidate_c: 288\n"
+        "slow: 15*1,13*1,11*1,9*1,6*5,4*1,2*2,0*1\nfast: 15*2,13*1,9*4,6*2,4*1,0*5",
+        "algorithm: brent\nphase: 1\nstep: 301\nm: -\ncandidate_c: -\n"
+        "slow: 15*1,13*1,11*1,8*4,6*1,4*2,2*1,1*1\nfast: 16*1,13*2,11*1,7*4,5*1,3*2,1*1",
+        "algorithm: brent\nphase: 2\nstep: 245\nm: -\ncandidate_c: 36\n"
+        "slow: 15*1,13*1,10*1,7*6,4*2,1*3\nfast: 15*1,13*1,10*4,7*2,5*1,1*5",
+    ])
+    def test_resumes_v1_files_from_the_first_release(self, tmp_path, text):
+        # files written by the state machines this search core replaced
+        path = str(tmp_path / "ck")
+        with open(path, "w") as fh:
+            fh.write("rho-checkpoint v1\nterm: B (B B)\nengine: canonical\n" + text + "\n")
+        assert tuple(find_rho("B^2 B", checkpoint_path=path, resume=True)) == (258, 36)
+
     def test_resume_missing_file(self, tmp_path):
         with pytest.raises(CheckpointIO):
             find_rho("B", checkpoint_path=str(tmp_path / "absent"), resume=True)
@@ -204,6 +224,22 @@ class TestKillResume:
         assert os.path.exists(path)
         r = find_rho("B^2 B", checkpoint_path=path, resume=True)
         assert tuple(r) == (258, 36)
+
+    @pytest.mark.parametrize("algorithm", ["brent", "floyd"])
+    def test_budget_stop_at_every_advance_resumes(self, tmp_path, monkeypatch, algorithm):
+        # B^2 B takes 1,097 Brent and 1,413 Floyd advances, so the budgets
+        # stop the search in every phase, at every transition and between
+        # the advances of one iteration. Its orbit has only 294 distinct
+        # states, so a memoized kernel keeps the 2.5M advances cheap.
+        monkeypatch.setattr(cycle_detect, "apply_runs", lru_cache(None)(apply_runs))
+        path = str(tmp_path / "ck")
+        for budget in range(2, 1101):
+            try:
+                r = find_rho("B^2 B", algorithm=algorithm, max_steps=budget,
+                             checkpoint_path=path)
+            except CycleNotFound:
+                r = find_rho("B^2 B", max_steps=2000, checkpoint_path=path, resume=True)
+            assert (budget, tuple(r)) == (budget, (258, 36))
 
     def test_success_removes_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck")

@@ -1,11 +1,17 @@
 """Pointer-chase cycle finders on synthetic orbits, checked against brute force."""
 
+import inspect
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
-from bluebird.cycles import brent_rho, floyd_rho
+from bluebird import cli, lambda_oracle
+from bluebird.cycle_detect import find_rho
+from bluebird.cycles import ALGORITHMS, MAX_STEPS, brent_rho, floyd_rho, search, start
 from bluebird.errors import CycleNotFound
+from bluebird.restricted import find_rho_restricted
 
 
 def brute(first, f, limit=10_000):
@@ -59,3 +65,27 @@ def test_budget_exhaustion():
         floyd_rho(0, succ, max_steps=100)
     with pytest.raises(CycleNotFound):
         brent_rho(0, succ, max_steps=100)
+
+
+@given(hs.data())
+def test_budget_stop_then_resume_matches_brute_force(data):
+    n = data.draw(hs.integers(1, 40))
+    table = data.draw(hs.lists(hs.integers(0, n - 1), min_size=n, max_size=n))
+    first = data.draw(hs.integers(0, n - 1))
+    algorithm = data.draw(hs.sampled_from(ALGORITHMS))
+    budget = data.draw(hs.integers(0, 4 * n + 4))
+    f = table.__getitem__
+    st = start(first, f, algorithm)
+    try:
+        got = search(st, f, budget)
+    except CycleNotFound:
+        # either algorithm needs fewer than 7 n advances on n states
+        got = search(st, f, 7 * n)
+    assert got == brute(first, f)
+
+
+def test_one_default_budget():
+    for fn in (find_rho, find_rho_restricted, lambda_oracle.rho_lambda,
+               floyd_rho, brent_rho, search):
+        assert inspect.signature(fn).parameters["max_steps"].default == MAX_STEPS
+    assert cli.build_parser().parse_args(["rho", "B"]).max_steps == MAX_STEPS
