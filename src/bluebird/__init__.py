@@ -32,7 +32,6 @@ from .cycle_detect import (
     save_checkpoint,
 )
 from .errors import (
-    AllZeroSequence,
     BluebirdError,
     CheckpointIO,
     CycleNotFound,
@@ -41,13 +40,7 @@ from .errors import (
     ParseError,
     StepBudgetExceeded,
 )
-from .fast_apply import (
-    apply_poly,
-    compose_decreasing,
-    lower_degrees,
-    raise_degrees,
-    strip_and_lower,
-)
+from .fast_apply import apply_poly
 from .restricted import (
     RestrictedEngine,
     find_rho_restricted,
@@ -67,11 +60,10 @@ __all__ = [
     "tree_of",
     "RhoResult", "SearchState", "find_rho", "iterate", "load_checkpoint",
     "save_checkpoint",
-    "AllZeroSequence", "BluebirdError", "CheckpointIO", "CycleNotFound",
+    "BluebirdError", "CheckpointIO", "CycleNotFound",
     "FormatVersionMismatch", "NotBFormShape", "ParseError",
     "StepBudgetExceeded",
-    "apply_poly", "compose_decreasing", "lower_degrees", "raise_degrees",
-    "strip_and_lower",
+    "apply_poly",
     "RestrictedEngine", "find_rho_restricted", "format_rterm",
     "monomial_rterm", "parse_rterm", "rnormalize",
     "LEAF", "BinTree", "Node", "comb", "format_tree", "split_spine",

@@ -120,56 +120,44 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 def parse(text: str) -> BTerm:
-    """Parse term text. Raises ParseError with a position on bad input."""
+    """Parse term text. Raises ParseError with a position on bad input.
+
+    One pass over the tokens; each open '(' pushes the partial application
+    of its enclosing group, so nesting depth costs no interpreter stack.
+    """
     tokens = _tokenize(text)
-    idx = 0
-
-    def peek() -> tuple[str, int] | None:
-        return tokens[idx] if idx < len(tokens) else None
-
-    def parse_atom() -> BTerm:
-        nonlocal idx
-        tok = peek()
-        assert tok is not None
-        text_, pos = tok
-        if text_ == "B":
-            idx += 1
-            return B
-        if text_.startswith("B^"):
-            idx += 1
-            nxt = peek()
-            if nxt is None or nxt[0] != "B":
-                raise ParseError("expected 'B' after 'B^n'", pos)
-            idx += 1
-            return monomial(int(text_[2:]))
-        if text_ == "(":
-            idx += 1
-            inner = parse_term()
-            nxt = peek()
-            if nxt is None or nxt[0] != ")":
-                raise ParseError("unbalanced '('", pos)
-            idx += 1
-            return inner
-        raise ParseError(f"unexpected {text_!r}", pos)
-
-    def parse_term() -> BTerm:
-        nonlocal idx
-        tok = peek()
-        if tok is None or tok[0] == ")":
-            raise ParseError("expected a term", tok[1] if tok else len(text))
-        out = parse_atom()
-        while True:
-            tok = peek()
-            if tok is None or tok[0] == ")":
-                return out
-            out = App(out, parse_atom())
-
     if not tokens:
         raise ParseError("empty input", 0)
-    result = parse_term()
-    if idx != len(tokens):
-        raise ParseError(f"unexpected {tokens[idx][0]!r}", tokens[idx][1])
-    return result
+    groups: list[tuple[BTerm | None, int]] = []  # (enclosing partial, '(' position)
+    cur: BTerm | None = None  # partial application of the innermost group
+    idx = 0
+    while idx < len(tokens):
+        tok, pos = tokens[idx]
+        idx += 1
+        if tok == "(":
+            groups.append((cur, pos))
+            cur = None
+            continue
+        if tok == ")":
+            if cur is None:
+                raise ParseError("expected a term", pos)
+            if not groups:
+                raise ParseError("unexpected ')'", pos)
+            atom = cur
+            cur = groups.pop()[0]
+        elif tok == "B":
+            atom = B
+        else:
+            if idx == len(tokens) or tokens[idx][0] != "B":
+                raise ParseError("expected 'B' after 'B^n'", pos)
+            idx += 1
+            atom = monomial(int(tok[2:]))
+        cur = atom if cur is None else App(cur, atom)
+    if cur is None:
+        raise ParseError("expected a term", len(text))
+    if groups:
+        raise ParseError("unbalanced '('", groups[-1][1])
+    return cur
 
 
 def format_bterm(e: BTerm, sugar: bool = False) -> str:
@@ -178,15 +166,26 @@ def format_bterm(e: BTerm, sugar: bool = False) -> str:
     With sugar=True, monomial subterms print as ``B^n B`` (they re-parse as a
     single atom, so they never need parentheses of their own).
     """
-
-    def fmt(t: BTerm, arg_position: bool) -> str:
+    out: list[str] = []
+    todo: list = [(e, False)]  # (term, in argument position) or literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, arg_position = item
         if is_leaf(t):
-            return "B"
+            out.append("B")
+            continue
         if sugar:
             n = monomial_degree(t)
             if n is not None:
-                return f"B^{n} B"
-        body = f"{fmt(t.fn, False)} {fmt(t.arg, True)}"
-        return f"({body})" if arg_position else body
-
-    return fmt(e, False)
+                out.append(f"B^{n} B")
+                continue
+        if arg_position:
+            out.append("(")
+            todo.append(")")
+        todo.append((t.arg, True))
+        todo.append(" ")
+        todo.append((t.fn, False))
+    return "".join(out)

@@ -6,9 +6,10 @@ Every B-term is equivalent to a unique composition chain
 
 so a non-increasing sequence of degrees [n1, ..., nk] is a complete invariant:
 two B-terms are beta-eta equivalent iff their sequences match. DegreeSeq
-stores the sequence run-length encoded; canonicalize computes it by structural
-rewriting, canonical_via_lambda recomputes it through the lambda oracle so the
-two routes can be cross-checked.
+stores the sequence run-length encoded; canonicalize computes it by folding
+the term's applications through _apply_into, the one merge kernel that the
+orbit searches also run via apply_runs; canonical_via_lambda recomputes it
+through the lambda oracle so the two routes can be cross-checked.
 
 The only non-trivial law is the adjacent swap
 
@@ -112,66 +113,83 @@ def parse_seq(text: str) -> DegreeSeq:
         raise ParseError(f"bad degree sequence {text!r}: {exc}", 0) from None
 
 
-def apply_swap(m: int, n: int) -> tuple[int, int]:
-    """The adjacent-swap law on a misordered pair of degrees."""
-    assert m < n, "swap only applies when the left degree is smaller"
-    return (n + 1, m)
+def raise_runs(runs: Runs, by: int = 1) -> Runs:
+    """Canonical form of B applied `by` times to the term behind runs."""
+    return tuple((d + by, m) for d, m in runs)
 
 
-def _insert_run(runs: list[list[int]], d: int, mult: int) -> None:
-    """Bubble `mult` units of degree d leftward into sorted runs (in place).
+_B_RUNS: Runs = ((0, 1),)  # canonical(B), shared by every leaf argument
 
-    Each unit passes every strictly smaller element to its left, gaining one
-    degree per element passed; identical units land adjacently, so a whole
-    run moves in one shot.
+
+def _apply_into(acc: list[list[int]], runs: Runs | list[list[int]], lift: int) -> None:
+    """The one application kernel: acc becomes canonical(X Y), where acc is
+    canonical(X) and runs with every degree raised by lift is canonical(B Y).
+
+    Each run of B Y is merged into acc from the right, bubbling left past
+    every strictly smaller degree and gaining one degree per unit passed;
+    identical units land adjacently, so a whole run moves in one shot. The
+    merged runs have no zero-degree units, so at most one zero run is left,
+    at the tail; dropping it and lowering every degree undoes the B.
     """
-    i = len(runs)
-    while i > 0 and runs[i - 1][0] < d:
-        d += runs[i - 1][1]
-        i -= 1
-    if i > 0 and runs[i - 1][0] == d:
-        runs[i - 1][1] += mult
-    else:
-        runs.insert(i, [d, mult])
+    for d, m in runs:
+        d += lift
+        i = len(acc)
+        while i > 0 and acc[i - 1][0] < d:
+            d += acc[i - 1][1]
+            i -= 1
+        if i > 0 and acc[i - 1][0] == d:
+            acc[i - 1][1] += m
+        else:
+            acc.insert(i, [d, m])
+    if acc[-1][0] == 0:
+        acc.pop()
+    for run in acc:
+        run[0] -= 1
 
 
-def _merge(left: Runs, right: Runs) -> Runs:
-    acc = [list(r) for r in left]
-    for d, m in right:
-        _insert_run(acc, d, m)
-    return tuple((d, m) for d, m in acc)
+def apply_runs(runs: Runs, raised_base: Runs) -> Runs:
+    """One application step on raw runs: canonical form of (X Y) where runs
+    is canonical(X) and raised_base is raise_runs(canonical(Y))."""
+    acc = [[d, m] for d, m in runs]
+    _apply_into(acc, raised_base, 0)
+    return tuple(map(tuple, acc))
 
 
-def _raise(runs: Runs) -> Runs:
-    return tuple((d + 1, m) for d, m in runs)
-
-
-def _poly(e: bt.BTerm) -> Runs:
-    _, args = bt.spine(e)
-    # B a1 a2 a3 ... contracts to a1 (a2 a3) ...; repeat until arity <= 2
-    while len(args) >= 3:
-        _, inner = bt.spine(args[0])
-        args = inner + [bt.App(args[1], args[2])] + args[3:]
-    if not args:
-        return ((0, 1),)
-    if len(args) == 1:
-        return _raise(_poly(args[0]))
-    return _merge(_poly(args[0]), _poly(args[1]))
+def _fold(e: bt.BTerm) -> list[list[int]]:
+    """Canonical runs of e, folded bottom-up with an explicit stack: the
+    spine B a1 ... an is B's [[0, 1]] applied to a1, ..., an in turn."""
+    acc, args, i = [[0, 1]], bt.spine(e)[1], 0
+    stack = []
+    while True:
+        if i < len(args):
+            a = args[i]
+            i += 1
+            if isinstance(a, bt.App):
+                stack.append((acc, args, i))
+                acc, args, i = [[0, 1]], bt.spine(a)[1], 0
+            else:
+                _apply_into(acc, _B_RUNS, 1)
+        elif stack:
+            value = acc
+            acc, args, i = stack.pop()
+            _apply_into(acc, value, 1)
+        else:
+            return acc
 
 
 def canonicalize(e: bt.BTerm) -> DegreeSeq:
-    """Canonical degree sequence of a B-term, by structural rewriting."""
-    return DegreeSeq(_poly(e))
+    """Canonical degree sequence of a B-term, by folding its applications."""
+    return DegreeSeq(tuple(map(tuple, _fold(e))))
 
 
 def equivalent_bterms(e1: bt.BTerm, e2: bt.BTerm) -> bool:
     """Beta-eta equivalence via canonical forms."""
-    return _poly(e1) == _poly(e2)
+    return _fold(e1) == _fold(e2)
 
 
 def monomial_degree(e: bt.BTerm) -> int | None:
     """Degree n if e is equivalent to B^n B, else None."""
-    runs = _poly(e)
+    runs = _fold(e)
     if len(runs) == 1 and runs[0][1] == 1:
         return runs[0][0]
     return None

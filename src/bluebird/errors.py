@@ -35,10 +35,6 @@ class CycleNotFound(BluebirdError):
         self.max_steps = max_steps
 
 
-class AllZeroSequence(BluebirdError):
-    """Internal error: strip-and-lower was asked to consume a sequence of zeros."""
-
-
 class CheckpointIO(BluebirdError):
     """A checkpoint file could not be read, parsed, or matched to the request."""
 

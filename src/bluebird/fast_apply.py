@@ -1,78 +1,21 @@
 """Apply one canonical form to another without leaving sequence space.
 
 For canonical degree sequences s1, s2 of B-terms X1, X2, the canonical form
-of the application (X1 X2) is
+of the application (X1 X2) is s1 with the units of raise(s2) merged in by the
+adjacent-swap law, its trailing zero-degree run dropped and every degree
+lowered by one. Raising turns X2 into B X2; dropping and lowering undoes the
+B. This is what lets cycle searches run millions of self-applications per
+minute while the lambda oracle would drown in beta steps.
 
-    strip_and_lower(compose_decreasing(s1, raise_degrees(s2)))
-
-Raising turns X2 into B X2; composing is the insertion merge; stripping the
-trailing zero-degree units and lowering undoes the raise. This is what lets
-cycle searches run millions of self-applications per minute while the lambda
-oracle would drown in beta steps.
-
-The *_runs functions work on raw run tuples ((degree, mult), ...) and are the
-hot path; the DegreeSeq wrappers validate and are the public face.
+The kernel lives next to DegreeSeq in canonical, where canonicalize folds
+whole terms through it. apply_runs and raise_runs work on raw run tuples
+((degree, mult), ...) and are the hot path; apply_poly validates and is the
+public face.
 """
 
 from __future__ import annotations
 
-from .canonical import DegreeSeq, Runs, _merge
-from .errors import AllZeroSequence
-
-
-def raise_runs(runs: Runs, by: int = 1) -> Runs:
-    return tuple((d + by, m) for d, m in runs)
-
-
-def apply_runs(runs: Runs, raised_base: Runs) -> Runs:
-    """One application step on raw runs: canonical form of (X Y) where runs
-    is canonical(X) and raised_base is raise_runs(canonical(Y)).
-
-    Inlines the insertion merge, the zero strip and the lowering in one pass;
-    raised_base has no zero-degree units, so the merge result always keeps at
-    least one positive degree and the one possible zero run sits at the tail.
-    """
-    acc = [[d, m] for d, m in runs]
-    for d, m in raised_base:
-        i = len(acc)
-        while i > 0 and acc[i - 1][0] < d:
-            d += acc[i - 1][1]
-            i -= 1
-        if i > 0 and acc[i - 1][0] == d:
-            acc[i - 1][1] += m
-        else:
-            acc.insert(i, [d, m])
-    if acc[-1][0] == 0:
-        acc.pop()
-    return tuple((d - 1, m) for d, m in acc)
-
-
-def raise_degrees(s: DegreeSeq, by: int = 1) -> DegreeSeq:
-    """Canonical form of B applied `by` times to the term behind s."""
-    return DegreeSeq(raise_runs(s.runs, by))
-
-
-def lower_degrees(s: DegreeSeq, by: int = 1) -> DegreeSeq:
-    """Inverse of raise_degrees; requires min degree >= by."""
-    if s.runs[-1][0] < by:
-        raise ValueError(f"cannot lower {s} by {by}")
-    return DegreeSeq(tuple((d - by, m) for d, m in s.runs))
-
-
-def compose_decreasing(s1: DegreeSeq, s2: DegreeSeq) -> DegreeSeq:
-    """Canonical form of the composition s1 . s2: each unit of s2 is inserted
-    into s1 from the left, bubbling by the adjacent-swap law."""
-    return DegreeSeq(_merge(s1.runs, s2.runs))
-
-
-def strip_and_lower(s: DegreeSeq) -> DegreeSeq:
-    """Drop all zero-degree units, then decrement every remaining degree."""
-    runs = s.runs
-    if runs[-1][0] == 0:
-        runs = runs[:-1]
-    if not runs:
-        raise AllZeroSequence("sequence contains only zero degrees")
-    return DegreeSeq(tuple((d - 1, m) for d, m in runs))
+from .canonical import DegreeSeq, apply_runs, raise_runs
 
 
 def apply_poly(s1: DegreeSeq, s2: DegreeSeq) -> DegreeSeq:

@@ -3,6 +3,8 @@
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from hypothesis import strategies as hs
+
 from bluebird.bterm import App, B, BTerm
 from bluebird.canonical import DegreeSeq, canonicalize
 from bluebird.fast_apply import apply_runs, raise_runs
@@ -41,6 +43,12 @@ def random_bterm(rng, max_leaves: int = 12) -> BTerm:
         k = rng.randint(1, n - 1)
         return App(build(k), build(n - k))
     return build(rng.randint(1, max_leaves))
+
+
+def bterm_strategy(max_leaves: int = 9):
+    """Hypothesis strategy for B-terms of at most max_leaves leaves."""
+    return hs.recursive(hs.just(B), lambda sub: hs.builds(App, sub, sub),
+                        max_leaves=max_leaves)
 
 
 def brute_rho(x: BTerm, limit: int) -> tuple[int, int]:

@@ -1,6 +1,8 @@
 """Syntax-level tests: parsing, formatting, spines, flat powers."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from bluebird.bterm import (
     App,
@@ -17,7 +19,7 @@ from bluebird.bterm import (
 )
 from bluebird.errors import ParseError
 
-from .support import bterm_shapes, bterms_up_to
+from .support import bterm_shapes, bterm_strategy, bterms_up_to
 
 
 def test_leaf_basics():
@@ -37,6 +39,21 @@ def test_parse_format_roundtrip_exhaustive():
 def test_parse_format_roundtrip_sugar():
     for t in bterms_up_to(8):
         assert parse(format_bterm(t, sugar=True)) == t
+
+
+@given(bterm_strategy(), hs.booleans())
+def test_parse_format_roundtrip_sampled(t, sugar):
+    assert parse(format_bterm(t, sugar)) == t
+
+
+def test_deep_text_at_default_recursion_limit(default_recursion_limit):
+    nested = "(" * 600 + "B B" + ")" * 600
+    assert format_bterm(parse(nested)) == "B B"
+    n = 10**5
+    text = format_bterm(monomial(n))
+    assert text == "B (" * (n - 1) + "B B" + ")" * (n - 1)
+    assert format_bterm(parse(text), sugar=True) == f"B^{n} B"
+    assert format_bterm(flat(B, n)) == " ".join(["B"] * n)
 
 
 def test_parse_examples():

@@ -1,11 +1,11 @@
 """Canonicalization, degree sequences, node listings, and the dual lambda route."""
 
 import pytest
+from hypothesis import given
 
 from bluebird import bterm as bt
 from bluebird.canonical import (
     DegreeSeq,
-    apply_swap,
     canonical_via_lambda,
     canonicalize,
     equivalent_bterms,
@@ -20,7 +20,7 @@ from bluebird.canonical import (
 from bluebird.errors import ParseError
 from bluebird.trees import LEAF, Node
 
-from .support import bterms_up_to, decreasing_seqs
+from .support import bterm_strategy, bterms_up_to, decreasing_seqs
 
 
 def C(s):
@@ -71,13 +71,6 @@ class TestParseSeq:
                 parse_seq(bad)
 
 
-def test_apply_swap():
-    # a misordered adjacent pair (m, n) with m < n rewrites to (n+1, m)
-    assert apply_swap(2, 4) == (5, 2)
-    assert apply_swap(0, 1) == (2, 0)
-    assert apply_swap(3, 7) == (8, 3)
-
-
 def test_canonical_goldens():
     assert C("B").text() == "[0]"
     assert C("B B").text() == "[1]"
@@ -106,6 +99,22 @@ def test_canonicalize_agrees_with_lambda_route():
     # dual routes: direct rewriting vs normalization in the lambda calculus
     for t in bterms_up_to(6):
         assert canonicalize(t) == canonical_via_lambda(t)
+
+
+@given(bterm_strategy())
+def test_canonicalize_agrees_with_lambda_route_sampled(t):
+    assert canonicalize(t) == canonical_via_lambda(t)
+
+
+def test_deep_terms_at_default_recursion_limit(default_recursion_limit):
+    n = 10**5
+    tower, power = bt.monomial(n), bt.flat(bt.B, n)
+    # B's orbit has entry 6 and cycle 4, so X(n) = X(6 + (n - 6) mod 4)
+    short = bt.flat(bt.B, 6 + (n - 6) % 4)
+    assert canonicalize(tower) == DegreeSeq(((n, 1),))
+    assert canonicalize(power) == canonicalize(short)
+    assert equivalent_bterms(power, short)
+    assert not equivalent_bterms(tower, power)
 
 
 def test_equivalent_bterms_basic():

@@ -24,6 +24,10 @@ class TestCanon:
         code, out, _ = run(capsys, "canon", "--rle", "B (B B B) (B B) (B B)")
         assert (code, out) == (0, "4*1,2*1\n")
 
+    def test_deep_term(self, capsys):
+        code, out, _ = run(capsys, "canon", "B^300000 B")
+        assert (code, out) == (0, "[300000]\n")
+
     def test_parse_error_exit_two(self, capsys):
         code, out, err = run(capsys, "canon", "B (")
         assert code == 2

@@ -1,19 +1,12 @@
 """Direct application on canonical forms, checked against full canonicalization."""
 
-import pytest
+from hypothesis import given, settings
 
 from bluebird import bterm as bt
-from bluebird.canonical import DegreeSeq, canonicalize, parse_seq, seq_to_bterm
-from bluebird.errors import AllZeroSequence
-from bluebird.fast_apply import (
-    apply_poly,
-    apply_runs,
-    compose_decreasing,
-    lower_degrees,
-    raise_degrees,
-    raise_runs,
-    strip_and_lower,
-)
+from bluebird.canonical import canonical_via_lambda, canonicalize, parse_seq, seq_to_bterm
+from bluebird.fast_apply import apply_poly, apply_runs, raise_runs
+
+from .support import bterm_strategy
 
 
 def S(text):
@@ -32,32 +25,11 @@ def test_apply_poly_small_cases():
     assert apply_poly(S("[1,0]"), S("[0]")) == S("[2,0]")
 
 
-def test_raise_lower_inverse():
-    s = S("[4,2,2,0]")
-    assert lower_degrees(raise_degrees(s, 3), 3) == s
-    with pytest.raises(ValueError):
-        lower_degrees(s, 1)        # the trailing 0 cannot go lower
-
-
-def test_raise_runs_matches_raise_degrees():
-    s = S("[3,1,1,0]")
-    assert raise_runs(s.runs) == raise_degrees(s, 1).runs
-
-
 def test_compose_decreasing():
-    a = S("[4,1,0]")
-    b = S("[3,1]")
-    assert compose_decreasing(a, b) == S("[6,4,3,1,0]")
-    # composing canonical forms is the canonical form of B a b
-    ta, tb = seq_to_bterm(a), seq_to_bterm(b)
-    paired = bt.App(bt.App(bt.B, ta), tb)
-    assert canonicalize(paired) == compose_decreasing(a, b)
-
-
-def test_strip_and_lower():
-    assert strip_and_lower(S("[3,1,0]")) == S("[2,0]")
-    with pytest.raises(AllZeroSequence):
-        strip_and_lower(S("[0,0,0]"))
+    # the canonical form of B a b is a's units with b's merged in by the swap law
+    a, b = seq_to_bterm(S("[4,1,0]")), seq_to_bterm(S("[3,1]"))
+    paired = bt.App(bt.App(bt.B, a), b)
+    assert canonicalize(paired) == S("[6,4,3,1,0]")
 
 
 def test_apply_runs_is_apply_poly():
@@ -72,3 +44,13 @@ def test_apply_matches_term_application_sampled():
         a, b = S(sa), S(sb)
         term = bt.App(seq_to_bterm(a), seq_to_bterm(b))
         assert apply_poly(a, b) == canonicalize(term)
+
+
+@settings(deadline=None)
+@given(bterm_strategy(), bterm_strategy())
+def test_apply_matches_lambda_route(x, y):
+    # canonicalize runs the same kernel as apply_poly, so the lambda oracle
+    # is the independent route here
+    a, b = canonical_via_lambda(x), canonical_via_lambda(y)
+    term = bt.App(seq_to_bterm(a), seq_to_bterm(b))
+    assert apply_poly(a, b) == canonical_via_lambda(term)
