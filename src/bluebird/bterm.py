@@ -28,13 +28,29 @@ class _BLeaf:
 B = _BLeaf()
 
 
-@dataclass(frozen=True, slots=True)
-class App:
+class _Printed:
+    """Equality, hash and repr of an application node through its text,
+    which a printer loop builds without recursion."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._text() == other._text()
+
+    def __hash__(self) -> int:
+        return hash(self._text())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}<{self._text()}>"
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class App(_Printed):
     fn: "BTerm"
     arg: "BTerm"
 
-    def __repr__(self) -> str:
-        return f"App({self.fn!r}, {self.arg!r})"
+    def _text(self) -> str:
+        return format_bterm(self)
 
 
 BTerm = _BLeaf | App
@@ -120,16 +136,20 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 
 
 def parse(text: str) -> BTerm:
-    """Parse term text. Raises ParseError with a position on bad input.
+    """Parse term text. Raises ParseError with a position on bad input."""
+    return _parse(text, B, App, monomial, then_b=True)
 
-    One pass over the tokens; each open '(' pushes the partial application
-    of its enclosing group, so nesting depth costs no interpreter stack.
-    """
+
+def _parse(text: str, leaf, app, power, then_b: bool):
+    """The parse loop of B-term and restricted-term text: ``B`` reads as
+    leaf, ``B^n`` as power(n) (then followed by its own ``B`` if then_b) and
+    juxtaposition as app. Each open '(' pushes the partial application of
+    its enclosing group, so nesting depth costs no interpreter stack."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input", 0)
-    groups: list[tuple[BTerm | None, int]] = []  # (enclosing partial, '(' position)
-    cur: BTerm | None = None  # partial application of the innermost group
+    groups: list[tuple[object, int]] = []  # (enclosing partial, '(' position)
+    cur = None  # partial application of the innermost group
     idx = 0
     while idx < len(tokens):
         tok, pos = tokens[idx]
@@ -146,13 +166,13 @@ def parse(text: str) -> BTerm:
             atom = cur
             cur = groups.pop()[0]
         elif tok == "B":
-            atom = B
+            atom = leaf
         else:
-            if idx == len(tokens) or tokens[idx][0] != "B":
+            if then_b and (idx == len(tokens) or tokens[idx][0] != "B"):
                 raise ParseError("expected 'B' after 'B^n'", pos)
-            idx += 1
-            atom = monomial(int(tok[2:]))
-        cur = atom if cur is None else App(cur, atom)
+            idx += then_b
+            atom = power(int(tok[2:]))
+        cur = atom if cur is None else app(cur, atom)
     if cur is None:
         raise ParseError("expected a term", len(text))
     if groups:
@@ -160,12 +180,9 @@ def parse(text: str) -> BTerm:
     return cur
 
 
-def format_bterm(e: BTerm, sugar: bool = False) -> str:
-    """Render with minimal parentheses; parse(format_bterm(e)) == e.
-
-    With sugar=True, monomial subterms print as ``B^n B`` (they re-parse as a
-    single atom, so they never need parentheses of their own).
-    """
+def _format(e, atom) -> str:
+    """Print an application tree with minimal parentheses; atom(t) is the
+    text of a subterm printed whole, or None to split it into fn and arg."""
     out: list[str] = []
     todo: list = [(e, False)]  # (term, in argument position) or literal text
     while todo:
@@ -174,14 +191,10 @@ def format_bterm(e: BTerm, sugar: bool = False) -> str:
             out.append(item)
             continue
         t, arg_position = item
-        if is_leaf(t):
-            out.append("B")
+        text = atom(t)
+        if text is not None:
+            out.append(text)
             continue
-        if sugar:
-            n = monomial_degree(t)
-            if n is not None:
-                out.append(f"B^{n} B")
-                continue
         if arg_position:
             out.append("(")
             todo.append(")")
@@ -189,3 +202,27 @@ def format_bterm(e: BTerm, sugar: bool = False) -> str:
         todo.append(" ")
         todo.append((t.fn, False))
     return "".join(out)
+
+
+def format_bterm(e: BTerm, sugar: bool = False) -> str:
+    """Render with minimal parentheses; parse(format_bterm(e)) == e.
+
+    With sugar=True, monomial subterms print as ``B^n B`` (they re-parse as a
+    single atom, so they never need parentheses of their own).
+    """
+    plain: set[int] = set()  # ids of nodes B X known not to be monomials
+
+    def atom(t: BTerm) -> str | None:
+        if is_leaf(t) or not sugar:
+            return "B" if is_leaf(t) else None
+        chain = []
+        while isinstance(t, App) and is_leaf(t.fn) and id(t) not in plain:
+            chain.append(id(t))
+            t = t.arg
+        if is_leaf(t):
+            return f"B^{len(chain)} B"
+        # every node of the chain sits above the same non-monomial bottom
+        plain.update(chain)
+        return None
+
+    return _format(e, atom)

@@ -10,7 +10,8 @@ Subcommands:
     is-monomial TERM      test whether a term is equivalent to a monomial
 
 Exit codes: 0 success (or true), 1 false / failed checks, 2 parse or usage
-errors, 3 no cycle found within the step budget, 4 checkpoint I/O problems.
+errors, 3 no cycle found within the step budget, 4 checkpoint I/O problems,
+5 internal error (any other exception, reported without a traceback).
 All results go to stdout and are byte-deterministic; --progress reports go
 to stderr.
 """
@@ -140,12 +141,25 @@ def cmd_iterate(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """Option values that argparse cannot check; exit code 2."""
+
+
+def _monomial_power(args, missing: str) -> ar.MonomialPower:
+    if args.k is None or args.n is None:
+        raise _UsageError(missing)
+    try:
+        return ar.MonomialPower(args.k, args.n)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def cmd_antirho(args) -> int:
+    for flag in ("steps", "window"):
+        if getattr(args, flag) is not None and getattr(args, flag) < 1:
+            raise _UsageError(f"--{flag} must be >= 1")
     if args.term is None:
-        if args.k is None or args.n is None:
-            print("error: antirho needs --k and --n, or --term", file=sys.stderr)
-            return 2
-        mp = ar.MonomialPower(args.k, args.n)
+        mp = _monomial_power(args, "antirho needs --k and --n, or --term")
         steps = args.steps if args.steps is not None else 200
         report = ar.run_power_suite(mp, steps)
     else:
@@ -153,10 +167,7 @@ def cmd_antirho(args) -> int:
         if args.predicate == "example2":
             membership = ar.in_example_family
         elif args.predicate == "tkn":
-            if args.k is None or args.n is None:
-                print("error: --predicate tkn needs --k and --n", file=sys.stderr)
-                return 2
-            mp = ar.MonomialPower(args.k, args.n)
+            mp = _monomial_power(args, "--predicate tkn needs --k and --n")
             membership = lambda t: ar.in_iterate_family(t, mp)
         steps = args.steps if args.steps is not None else 100
         report = ar.run_term_suite(
@@ -226,8 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = ((ParseError, 2), (_UsageError, 2), (CycleNotFound, 3),
+               (StepBudgetExceeded, 3), (CheckpointIO, 4))  # anything else: 5
+
+
 def main(argv=None) -> int:
-    sys.setrecursionlimit(200_000)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "engine", None) != "canonical":
@@ -236,15 +250,11 @@ def main(argv=None) -> int:
             parser.error("--checkpoint/--resume/--progress need --engine canonical")
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CycleNotFound, StepBudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CheckpointIO as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), 5)
+        text = str(exc) if code < 5 else f"internal error: {type(exc).__name__}: {exc}"
+        print(f"error: {text}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ it, so nothing here may depend on them.
 
 Reduction strategy: normal order (leftmost outermost) beta to beta-normal
 form, then exhaustive eta. A step budget guards non-normalizing inputs.
+
+Inside, a term is one string in prefix order: _APP, then function and
+argument; _ABS, then body; Var(i) as chr(i + 2). The first _APP _ABS pair is
+the leftmost-outermost redex, and every walk is a loop with a stack of
+binder depths, so term depth costs no interpreter stack.
 """
 
 from __future__ import annotations
@@ -19,19 +24,38 @@ from .trees import LEAF, BinTree, Node
 
 DEFAULT_BUDGET = 10**7
 
+_APP = "\x00"
+_ABS = "\x01"
+_REDEX = _APP + _ABS
+
+
+class _Coded:
+    """Abs and App compare and hash by their prefix string."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and _encode(self) == _encode(other)
+
+    def __hash__(self) -> int:
+        return hash(_encode(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}<{format_lambda(self)}>"
+
 
 @dataclass(frozen=True, slots=True)
 class Var:
     index: int
 
 
-@dataclass(frozen=True, slots=True)
-class Abs:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Abs(_Coded):
     body: "LambdaTerm"
 
 
-@dataclass(frozen=True, slots=True)
-class App:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class App(_Coded):
     fn: "LambdaTerm"
     arg: "LambdaTerm"
 
@@ -39,75 +63,115 @@ class App:
 LambdaTerm = Var | Abs | App
 
 
-def _shift(t: LambdaTerm, by: int, depth: int = 0) -> LambdaTerm:
-    """ Add `by` to every variable of t that is free at `depth`. """
-    if isinstance(t, Var):
-        return Var(t.index + by) if t.index >= depth else t
-    if isinstance(t, Abs):
-        return Abs(_shift(t.body, by, depth + 1))
-    return App(_shift(t.fn, by, depth), _shift(t.arg, by, depth))
-
-
-def _subst(t: LambdaTerm, depth: int, value: LambdaTerm) -> LambdaTerm:
-    """ Replace Var(depth) by value in t (value is shifted as we descend). """
-    if isinstance(t, Var):
-        if t.index == depth:
-            return _shift(value, depth)
-        return Var(t.index - 1) if t.index > depth else t
-    if isinstance(t, Abs):
-        return Abs(_subst(t.body, depth + 1, value))
-    return App(_subst(t.fn, depth, value), _subst(t.arg, depth, value))
-
-
-class _Budget:
-    __slots__ = ("left", "total")
-
-    def __init__(self, total: int):
-        self.left = total
-        self.total = total
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise StepBudgetExceeded(self.total)
-
-
-def _beta_nf(t: LambdaTerm, budget: _Budget) -> LambdaTerm:
-    spine: list[LambdaTerm] = []
-    while True:
-        while isinstance(t, App):
-            spine.append(t.arg)
-            t = t.fn
-        if isinstance(t, Abs):
-            if spine:
-                budget.spend()
-                t = _subst(t.body, 0, spine.pop())
-            else:
-                return Abs(_beta_nf(t.body, budget))
+def _encode(t: LambdaTerm | bt.BTerm) -> str:
+    """Prefix string of t; a B-term encodes as its image (leaves become B)."""
+    out: list[str] = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, (App, bt.App)):
+            out.append(_APP)
+            stack += (u.arg, u.fn)
+        elif u is bt.B:
+            out.append(_B)
+        elif isinstance(u, Abs):
+            out.append(_ABS)
+            stack.append(u.body)
+        elif u.index < 0:
+            raise ValueError(f"negative de Bruijn index {u.index}")
         else:
-            out: LambdaTerm = t
-            while spine:
-                out = App(out, _beta_nf(spine.pop(), budget))
-            return out
+            out.append(chr(u.index + 2))
+    return "".join(out)
 
 
-def _uses(t: LambdaTerm, index: int) -> bool:
-    if isinstance(t, Var):
-        return t.index == index
-    if isinstance(t, Abs):
-        return _uses(t.body, index + 1)
-    return _uses(t.fn, index) or _uses(t.arg, index)
+def _decode(code: str, var=Var, app=App) -> LambdaTerm:
+    vals: list = []
+    for c in reversed(code):
+        if c == _APP:
+            fn = vals.pop()
+            vals.append(app(fn, vals.pop()))
+        else:
+            vals.append(Abs(vals.pop()) if c == _ABS else var(ord(c) - 2))
+    return vals[0]
 
 
-def _eta(t: LambdaTerm) -> LambdaTerm:
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, App):
-        return App(_eta(t.fn), _eta(t.arg))
-    body = _eta(t.body)
-    if isinstance(body, App) and body.arg == Var(0) and not _uses(body.fn, 0):
-        return _shift(body.fn, -1)
-    return Abs(body)
+def _end(code: str, i: int) -> int:
+    """End of the subterm that starts at code[i]: an _APP opens one more
+    subterm to read, a variable closes one."""
+    need = 1
+    while need:
+        need += (code[i] == _APP) - (code[i] > _ABS)
+        i += 1
+    return i
+
+
+def _walk(code: str, by: int, value: str | None = None) -> str | None:
+    """Add `by` to every free variable of code, or None if one would become
+    bound. With a value, code is the body of a contracted redex: Var(0)
+    becomes value, shifted by the binders it lands under (by is then -1)."""
+    out: list[str] = []
+    depths = [0]  # binder depth of each subterm still to read
+    shifted = {0: value}
+    for c in code:
+        d = depths.pop()
+        if c == _APP:
+            depths += (d, d)
+        elif c == _ABS:
+            depths.append(d + 1)
+        elif (i := ord(c) - 2) >= d:
+            if i == d and value is not None:
+                if d not in shifted:
+                    shifted[d] = _walk(value, d)
+                c = shifted[d]
+            elif i + by < d:
+                return None
+            else:
+                c = chr(i + by + 2)
+        out.append(c)
+    return "".join(out)
+
+
+def _beta(code: str, max_steps: int) -> str:
+    steps = 0
+    p = code.find(_REDEX)
+    while p >= 0:
+        steps += 1
+        if steps > max_steps:
+            raise StepBudgetExceeded(max_steps)
+        mid = _end(code, p + 2)
+        stop = _end(code, mid)
+        code = code[:p] + _walk(code[p + 2:mid], -1, code[mid:stop]) + code[stop:]
+        # only the pair that ends at p can be new
+        p = code.find(_REDEX, max(p - 1, 0))
+    return code
+
+
+def _eta_reduce(code: str) -> str:
+    """Exhaustive eta, innermost first: _ABS _APP f Var(0) becomes f lowered
+    by one when f does not use Var(0)."""
+    out: list[str] = []
+    todo: list[int] = []  # start of each open node; ~start while an App reads its function
+    for c in code:
+        out.append(c)
+        if c == _APP or c == _ABS:
+            todo.append(~(len(out) - 1) if c == _APP else len(out) - 1)
+            continue
+        while todo:
+            s = todo.pop()
+            if s < 0:
+                todo.append(~s)
+                break
+            if (out[s] == _ABS and out[s + 1] == _APP and out[-1] == "\x02"  # Var(0)
+                    and _end(out, s + 2) == len(out) - 1):
+                lowered = _walk("".join(out[s + 2:-1]), -1)
+                if lowered is not None:
+                    del out[s:]
+                    out += lowered
+    return "".join(out)
+
+
+def _normal(code: str, max_steps: int) -> str:
+    return _eta_reduce(_beta(code, max_steps))
 
 
 def normalize(t: LambdaTerm, max_steps: int = DEFAULT_BUDGET) -> LambdaTerm:
@@ -115,16 +179,17 @@ def normalize(t: LambdaTerm, max_steps: int = DEFAULT_BUDGET) -> LambdaTerm:
 
     Normalization is idempotent: normalize(normalize(t)) == normalize(t).
     """
-    return _eta(_beta_nf(t, _Budget(max_steps)))
+    return _decode(_normal(_encode(t), max_steps))
 
 
 def equivalent(t1: LambdaTerm, t2: LambdaTerm, max_steps: int = DEFAULT_BUDGET) -> bool:
     """Beta-eta equivalence, decided by comparing normal forms."""
-    return normalize(t1, max_steps) == normalize(t2, max_steps)
+    return _normal(_encode(t1), max_steps) == _normal(_encode(t2), max_steps)
 
 
 # the B combinator: \f g x. f (g x)
 B = Abs(Abs(Abs(App(Var(2), App(Var(1), Var(0))))))
+_B = _encode(B)
 
 # standard combinators used by the cycle-search test battery
 C = Abs(Abs(Abs(App(App(Var(2), Var(0)), Var(1)))))          # \x y z. x z y
@@ -141,39 +206,23 @@ V = Abs(Abs(Abs(App(App(Var(0), Var(2)), Var(1)))))           # \x y z. z x y
 
 def bterm_to_lambda(e: bt.BTerm) -> LambdaTerm:
     """Image of a B-term: leaves become the B combinator, applications map across."""
-    vals: list[LambdaTerm] = []
-    stack: list[tuple[bt.BTerm, bool]] = [(e, False)]
-    while stack:
-        t, done = stack.pop()
-        if not isinstance(t, bt.App):
-            vals.append(B)
-        elif done:
-            arg = vals.pop()
-            fn = vals.pop()
-            vals.append(App(fn, arg))
-        else:
-            stack.append((t, True))
-            stack.append((t.arg, False))
-            stack.append((t.fn, False))
-    return vals[0]
+    return _decode(_encode(e))
 
 
 def tree_to_lambda(t: BinTree) -> LambdaTerm:
     """lambda x1...xk. M where M applies the k leaves of t in left-to-right order."""
     k = t.size
-    counter = [0]
-
-    def walk(u: BinTree) -> LambdaTerm:
+    out = [_ABS * k]
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Node):
-            fn = walk(u.left)
-            return App(fn, walk(u.right))
-        counter[0] += 1
-        return Var(k - counter[0])
-
-    out = walk(t)
-    for _ in range(k):
-        out = Abs(out)
-    return out
+            out.append(_APP)
+            stack += (u.right, u.left)
+        else:
+            k -= 1
+            out.append(chr(k + 2))
+    return _decode("".join(out))
 
 
 def lambda_to_tree(t: LambdaTerm) -> BinTree:
@@ -183,29 +232,19 @@ def lambda_to_tree(t: LambdaTerm) -> BinTree:
     an application tree using x1..xk exactly once each, in order. Raises
     NotBFormShape otherwise.
     """
-    k = 0
-    while isinstance(t, Abs):
-        k += 1
-        t = t.body
-    counter = [0]
-
-    def walk(u: LambdaTerm) -> BinTree:
-        if isinstance(u, App):
-            left = walk(u.fn)
-            return Node(left, walk(u.arg))
-        if not isinstance(u, Var):
+    code = _encode(t)
+    body = code.lstrip(_ABS)
+    k = len(code) - len(body)
+    leaves = body.replace(_APP, "")
+    for used, c in enumerate(leaves):
+        if c == _ABS:
             raise NotBFormShape("abstraction in applicative position")
-        expect = k - 1 - counter[0]
-        if u.index != expect:
+        if ord(c) - 2 != k - 1 - used:
             raise NotBFormShape(
-                f"variable {u.index} out of order (expected {expect})")
-        counter[0] += 1
-        return LEAF
-
-    tree = walk(t)
-    if counter[0] != k:
-        raise NotBFormShape(f"{k} binders but {counter[0]} variable uses")
-    return tree
+                f"variable {ord(c) - 2} out of order (expected {k - 1 - used})")
+    if len(leaves) != k:
+        raise NotBFormShape(f"{k} binders but {len(leaves)} variable uses")
+    return _decode(body, lambda i: LEAF, Node)
 
 
 @dataclass(frozen=True)
@@ -222,19 +261,14 @@ def term_stats(t: LambdaTerm, max_steps: int = DEFAULT_BUDGET) -> TermStats:
 
     Raises NotBFormShape unless the normal form is lambda x1..xn. x1 e1 ... ek.
     """
-    nf = normalize(t, max_steps)
-    n = 0
-    while isinstance(nf, Abs):
-        n += 1
-        nf = nf.body
-    args: list[LambdaTerm] = []
-    while isinstance(nf, App):
-        args.append(nf.arg)
-        nf = nf.fn
-    if not isinstance(nf, Var) or nf.index != n - 1:
+    nf = _normal(_encode(t), max_steps)
+    body = nf.lstrip(_ABS)
+    n = len(nf) - len(body)
+    spine = body.lstrip(_APP)
+    k = len(body) - len(spine)
+    if spine[0] == _ABS or ord(spine[0]) - 2 != n - 1:
         raise NotBFormShape("head of the normal form is not the first binder")
-    args.reverse()
-    return TermStats(n, len(args), args[0] if args else None)
+    return TermStats(n, k, _decode(spine[1:_end(spine, 1)]) if k else None)
 
 
 def rho_lambda(t: LambdaTerm, max_steps: int = cycles.MAX_STEPS,
@@ -248,10 +282,10 @@ def rho_lambda(t: LambdaTerm, max_steps: int = cycles.MAX_STEPS,
     """
     from .cycle_detect import RhoResult
 
-    base = normalize(t)
+    base = _normal(_encode(t), DEFAULT_BUDGET)
 
-    def advance(cur: LambdaTerm) -> LambdaTerm:
-        return normalize(App(cur, base))
+    def advance(cur: str) -> str:
+        return _normal(_APP + cur + base, DEFAULT_BUDGET)
 
     return RhoResult(*cycles.search(cycles.start(base, advance, algorithm), advance, max_steps))
 
@@ -259,24 +293,26 @@ def rho_lambda(t: LambdaTerm, max_steps: int = cycles.MAX_STEPS,
 def format_lambda(t: LambdaTerm) -> str:
     """Compact text: binder runs as backslashes, de Bruijn indices, left-assoc
     application by juxtaposition. B prints as '\\\\\\.2 (1 0)'."""
-    if isinstance(t, Abs):
+    out: list[str] = []
+    todo: list = [(t, False)]  # (term, in atom position) or literal text
+    while todo:
+        u, atom = todo.pop()
+        if isinstance(u, (str, Var)):
+            out.append(u if isinstance(u, str) else str(u.index))
+            continue
+        if atom:
+            out.append("(")
+            todo.append((")", False))
         n = 0
-        while isinstance(t, Abs):
+        while isinstance(u, Abs):
             n += 1
-            t = t.body
-        return "\\" * n + "." + format_lambda(t)
-
-    def atom(u: LambdaTerm) -> str:
-        if isinstance(u, Var):
-            return str(u.index)
-        return f"({format_lambda(u)})"
-
-    if isinstance(t, Var):
-        return str(t.index)
-    parts = []
-    while isinstance(t, App):
-        parts.append(atom(t.arg))
-        t = t.fn
-    parts.append(atom(t))
-    parts.reverse()
-    return " ".join(parts)
+            u = u.body
+        if n:
+            out.append("\\" * n + ".")
+            todo.append((u, False))
+            continue
+        while isinstance(u, App):
+            todo += ((u.arg, True), (" ", False))
+            u = u.fn
+        todo.append((u, True))
+    return "".join(out)

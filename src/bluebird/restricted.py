@@ -18,12 +18,12 @@ isolation matters.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
+from . import bterm as bt
 from . import cycles
-from .errors import ParseError, StepBudgetExceeded
+from .errors import StepBudgetExceeded
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,15 +31,16 @@ class RConst:
     k: int
 
 
-@dataclass(frozen=True, slots=True)
-class RApp:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class RApp(bt._Printed):
     fn: "RTerm"
     arg: "RTerm"
 
+    def _text(self) -> str:
+        return format_rterm(self)
+
 
 RTerm = Union[RConst, RApp]
-
-_TOKEN = re.compile(r"\s*(B\^(\d+)|B(?![\w^])|\(|\))")
 
 
 def parse_rterm(text: str) -> RTerm:
@@ -47,68 +48,12 @@ def parse_rterm(text: str) -> RTerm:
 
     Unlike B-term syntax, B^k is an atom by itself (the k-th constant).
     """
-    pos = 0
-    n = len(text)
-
-    def skip_ws(p: int) -> int:
-        while p < n and text[p].isspace():
-            p += 1
-        return p
-
-    def parse_term(p: int) -> tuple[RTerm, int]:
-        term, p = parse_atom(p)
-        while True:
-            q = skip_ws(p)
-            if q >= n or text[q] == ")":
-                return term, p
-            arg, p = parse_atom(q)
-            term = RApp(term, arg)
-
-    def parse_atom(p: int) -> tuple[RTerm, int]:
-        m = _TOKEN.match(text, p)
-        if m is None:
-            raise ParseError("expected 'B', 'B^k' or '('", skip_ws(p))
-        tok = m.group(1)
-        if tok == "(":
-            term, p = parse_term(m.end())
-            p = skip_ws(p)
-            if p >= n or text[p] != ")":
-                raise ParseError("unbalanced '('", m.start(1))
-            return term, p + 1
-        if tok == ")":
-            raise ParseError("unexpected ')'", m.start(1))
-        if tok == "B":
-            return RConst(0), m.end()
-        return RConst(int(m.group(2))), m.end()
-
-    p = skip_ws(pos)
-    if p >= n:
-        raise ParseError("empty term", p)
-    term, p = parse_term(p)
-    p = skip_ws(p)
-    if p < n:
-        raise ParseError("trailing input", p)
-    return term
+    return bt._parse(text, RConst(0), RApp, RConst, then_b=False)
 
 
 def format_rterm(t: RTerm) -> str:
     """Inverse of parse_rterm: left-associative, minimal parentheses."""
-    if isinstance(t, RConst):
-        return "B" if t.k == 0 else f"B^{t.k}"
-    parts = []
-    cur = t
-    while isinstance(cur, RApp):
-        parts.append(cur.arg)
-        cur = cur.fn
-    parts.append(cur)
-    parts.reverse()
-    out = []
-    for i, part in enumerate(parts):
-        text = format_rterm(part)
-        if i > 0 and isinstance(part, RApp):
-            text = f"({text})"
-        out.append(text)
-    return " ".join(out)
+    return bt._format(t, lambda u: None if isinstance(u, RApp) else f"B^{u.k}" if u.k else "B")
 
 
 def monomial_rterm(n: int) -> RTerm:
@@ -157,48 +102,34 @@ class RestrictedEngine:
 
     def intern(self, t: RTerm) -> int:
         """Map an RTerm to its id, iteratively (terms may nest deep)."""
-        stack: list = [(t, False)]
-        results: list[int] = []
+        order, stack = [], [t]
         while stack:
-            item, done = stack.pop()
-            if done:
-                arg = results.pop()
-                fn = results.pop()
-                results.append(self.app(fn, arg))
-            elif isinstance(item, RConst):
-                if item.k < 0:
-                    raise ValueError("constant index must be >= 0")
-                results.append(self.const(item.k))
-            else:
-                stack.append((item, True))
-                stack.append((item.arg, False))
-                stack.append((item.fn, False))
-        return results[0]
+            u = stack.pop()
+            order.append(u)
+            if isinstance(u, RApp):
+                stack += (u.arg, u.fn)
+            elif u.k < 0:
+                raise ValueError("constant index must be >= 0")
+        ids: list[int] = []  # built in reverse prefix order: fn on top of arg
+        for u in reversed(order):
+            ids.append(self.app(ids.pop(), ids.pop()) if isinstance(u, RApp) else self.const(u.k))
+        return ids[0]
 
     def extern(self, i: int) -> RTerm:
-        """Inverse of intern."""
+        """Inverse of intern; shared ids become shared subterms."""
         memo: dict[int, RTerm] = {}
         stack = [i]
         while stack:
-            j = stack[-1]
+            j = stack.pop()
             if j in memo:
-                stack.pop()
                 continue
             a, b = self._node[j]
             if a < 0:
                 memo[j] = RConst(b)
-                stack.pop()
-                continue
-            fa = memo.get(a)
-            fb = memo.get(b)
-            if fa is None:
-                stack.append(a)
-                continue
-            if fb is None:
-                stack.append(b)
-                continue
-            memo[j] = RApp(fa, fb)
-            stack.pop()
+            elif a in memo and b in memo:
+                memo[j] = RApp(memo[a], memo[b])
+            else:
+                stack += (j, b, a)
         return memo[i]
 
     def _head_redex(self, t: int) -> int | None:
@@ -232,46 +163,28 @@ class RestrictedEngine:
         the interpreter stack; results are memoized on the engine."""
         nf = self._nf
         node = self._node
-        pending: dict[int, tuple[int, int]] = {}
-        stack = [root]
+        stack: list = [root]  # ids to normalize; (id, rebuilt, contractum) to finish
         while stack:
-            i = stack[-1]
-            if i in nf:
-                stack.pop()
+            i = stack.pop()
+            if type(i) is tuple:
+                i, t, red = i
+                nf[i] = nf[t] = nf[red]
                 continue
-            if i in pending:
-                red, rebuilt = pending[i]
-                r = nf.get(red)
-                if r is None:
-                    stack.append(red)
-                    continue
-                nf[i] = r
-                nf[rebuilt] = r
-                del pending[i]
-                stack.pop()
+            if i in nf:
                 continue
             a, b = node[i]
             if a < 0:
                 nf[i] = i
-                stack.pop()
-                continue
-            fa = nf.get(a)
-            if fa is None:
-                stack.append(a)
-                continue
-            fb = nf.get(b)
-            if fb is None:
-                stack.append(b)
-                continue
-            t = self.app(fa, fb) if (fa != a or fb != b) else i
-            red = self._head_redex(t)
-            if red is None:
-                nf[t] = t
-                nf[i] = t
-                stack.pop()
-                continue
-            pending[i] = (red, t)
-            stack.append(red)
+            elif a not in nf or b not in nf:
+                stack += (i, b, a)
+            else:
+                fa, fb = nf[a], nf[b]
+                t = i if (fa == a and fb == b) else self.app(fa, fb)
+                red = self._head_redex(t)
+                if red is None:
+                    nf[i] = nf[t] = t
+                else:
+                    stack += ((i, t, red), red)
         return nf[root]
 
 

@@ -5,8 +5,10 @@ from itertools import combinations_with_replacement
 
 from hypothesis import strategies as hs
 
+from bluebird import lambda_oracle as lo
 from bluebird.bterm import App, B, BTerm
 from bluebird.canonical import DegreeSeq, canonicalize
+from bluebird.errors import StepBudgetExceeded
 from bluebird.fast_apply import apply_runs, raise_runs
 
 
@@ -78,3 +80,73 @@ def decreasing_seqs(max_entries: int, max_degree: int) -> list[DegreeSeq]:
         for combo in combinations_with_replacement(range(max_degree + 1), n):
             out.append(DegreeSeq.from_degrees(sorted(combo, reverse=True)))
     return out
+
+
+# --- a second lambda normalizer ---------------------------------------------
+# Normal-order reduction on Var/Abs/App trees, written apart from
+# lambda_oracle's string walks so the tests can compare the two. It
+# recurses on term depth, so keep its inputs shallow.
+
+def _shift(t, by, depth=0):
+    if isinstance(t, lo.Var):
+        return lo.Var(t.index + by) if t.index >= depth else t
+    if isinstance(t, lo.Abs):
+        return lo.Abs(_shift(t.body, by, depth + 1))
+    return lo.App(_shift(t.fn, by, depth), _shift(t.arg, by, depth))
+
+
+def _subst(t, depth, value):
+    if isinstance(t, lo.Var):
+        if t.index == depth:
+            return _shift(value, depth)
+        return lo.Var(t.index - 1) if t.index > depth else t
+    if isinstance(t, lo.Abs):
+        return lo.Abs(_subst(t.body, depth + 1, value))
+    return lo.App(_subst(t.fn, depth, value), _subst(t.arg, depth, value))
+
+
+def _beta_nf(t, budget):
+    spine = []
+    while True:
+        while isinstance(t, lo.App):
+            spine.append(t.arg)
+            t = t.fn
+        if isinstance(t, lo.Abs):
+            if spine:
+                budget[0] += 1
+                if budget[0] > budget[1]:
+                    raise StepBudgetExceeded(budget[1])
+                t = _subst(t.body, 0, spine.pop())
+            else:
+                return lo.Abs(_beta_nf(t.body, budget))
+        else:
+            out = t
+            while spine:
+                out = lo.App(out, _beta_nf(spine.pop(), budget))
+            return out
+
+
+def _uses(t, index):
+    if isinstance(t, lo.Var):
+        return t.index == index
+    if isinstance(t, lo.Abs):
+        return _uses(t.body, index + 1)
+    return _uses(t.fn, index) or _uses(t.arg, index)
+
+
+def _eta(t):
+    if isinstance(t, lo.Var):
+        return t
+    if isinstance(t, lo.App):
+        return lo.App(_eta(t.fn), _eta(t.arg))
+    body = _eta(t.body)
+    if isinstance(body, lo.App) and body.arg == lo.Var(0) and not _uses(body.fn, 0):
+        return _shift(body.fn, -1)
+    return lo.Abs(body)
+
+
+def reference_normalize(t, max_steps=lo.DEFAULT_BUDGET):
+    """(beta-eta normal form of t, beta steps taken), by normal-order
+    reduction on the tree, or StepBudgetExceeded past max_steps steps."""
+    budget = [0, max_steps]
+    return _eta(_beta_nf(t, budget)), budget[0]

@@ -1,5 +1,7 @@
 """Syntax-level tests: parsing, formatting, spines, flat powers."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
@@ -46,7 +48,7 @@ def test_parse_format_roundtrip_sampled(t, sugar):
     assert parse(format_bterm(t, sugar)) == t
 
 
-def test_deep_text_at_default_recursion_limit(default_recursion_limit):
+def test_deep_text_at_default_recursion_limit():
     nested = "(" * 600 + "B B" + ")" * 600
     assert format_bterm(parse(nested)) == "B B"
     n = 10**5
@@ -124,3 +126,29 @@ def test_monomial_degree_rejects_other_shapes():
     assert monomial_degree(B) is None
     assert monomial_degree(App(App(B, B), B)) is None
     assert monomial_degree(App(App(B, B), App(B, B))) is None
+
+
+def test_deep_equality_hash_and_repr():
+    n = 10**5
+    for build in (monomial, lambda k: flat(B, k)):
+        a, b = build(n), build(n)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == f"App<{format_bterm(a)}>"
+    assert monomial(n) != monomial(n - 1)
+    assert monomial(n) != flat(B, n + 1)
+    assert repr(App(B, B)) == "App<B B>"
+
+
+def test_sugar_format_is_linear_on_a_long_chain():
+    n = 10**5
+    chain = parse("B B B")  # not a monomial, so no node above it is one
+    for _ in range(n):
+        chain = App(B, chain)
+    t0 = time.perf_counter()
+    text = format_bterm(chain, sugar=True)
+    assert time.perf_counter() - t0 < 10.0
+    assert text == "B (" * n + "B^1 B B" + ")" * n
+    assert format_bterm(App(B, App(B, chain)), sugar=True).startswith("B (B (B (")
+    assert format_bterm(App(chain, monomial(3)), sugar=True).endswith(") B^3 B")

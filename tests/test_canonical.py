@@ -106,7 +106,7 @@ def test_canonicalize_agrees_with_lambda_route_sampled(t):
     assert canonicalize(t) == canonical_via_lambda(t)
 
 
-def test_deep_terms_at_default_recursion_limit(default_recursion_limit):
+def test_deep_terms_at_default_recursion_limit():
     n = 10**5
     tower, power = bt.monomial(n), bt.flat(bt.B, n)
     # B's orbit has entry 6 and cycle 4, so X(n) = X(6 + (n - 6) mod 4)

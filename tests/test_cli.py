@@ -1,10 +1,12 @@
 """Command-line interface: outputs, exit codes, engine selection."""
 
 import os
+import sys
 
 import pytest
 
 from bluebird import bterm as bt
+from bluebird import cli
 from bluebird.antirho import example_antirho_term
 from bluebird.cli import main
 
@@ -152,3 +154,52 @@ class TestAntirho:
         code, out, _ = run(capsys, "antirho", "--term", "B B", "--steps", "40")
         assert code == 1
         assert "check(s) failed" in out.rstrip().splitlines()[-1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--k", "-1", "--n", "1"], "k must be >= 0"),
+        (["--k", "1", "--n", "0"], "n must be >= 1"),
+        (["--k", "1", "--n", "1", "--steps", "0"], "--steps must be >= 1"),
+        (["--term", "B", "--window", "0"], "--window must be >= 1"),
+    ])
+    def test_bad_values_exit_two(self, capsys, argv, message):
+        code, out, err = run(capsys, "antirho", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unexpected_exception_exits_five(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_canon", broken)
+    code, out, err = run(capsys, "canon", "B")
+    assert (code, out) == (5, "")
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
+def test_deep_restricted_text_stops_on_budget(capsys):
+    n = 3000
+    code, out, err = run(capsys, "rho", "--engine", "restricted", "--max-steps", "3",
+                         "B (" * n + "B" + ")" * n)
+    assert (code, out) == (3, "")
+    assert err == "error: no cycle found within 3 steps\n"
+
+
+def test_no_subcommand_changes_the_recursion_limit(capsys, tmp_path):
+    limit = sys.getrecursionlimit()
+    calls = [
+        ["canon", "B B B"],
+        ["eq", "B B B B", "B (B B)"],
+        ["is-monomial", "B (B B)"],
+        ["rho", "B"],
+        ["rho", "--engine", "lambda", "B B"],
+        ["rho", "--engine", "restricted", "B"],
+        ["rho", "--checkpoint", str(tmp_path / "ck"), "B"],
+        ["iterate", "--count", "3", "--stats", "B"],
+        ["antirho", "--k", "0", "--n", "1", "--steps", "10"],
+    ]
+    commands = {cli.build_parser().parse_args(c).func.__name__ for c in calls}
+    assert commands == {name for name in vars(cli) if name.startswith("cmd_")}
+    for argv in calls:
+        assert main(argv) in (0, 1)
+        assert sys.getrecursionlimit() == limit
+    capsys.readouterr()

@@ -56,7 +56,7 @@ def test_values_are_minimal():
         assert tuple(find_rho(text, algorithm="floyd")) == want
 
 
-def test_deep_term_budget_stop_at_default_recursion_limit(default_recursion_limit):
+def test_deep_term_budget_stop_at_default_recursion_limit():
     with pytest.raises(CycleNotFound):
         find_rho("B^2000 B", max_steps=10)
 

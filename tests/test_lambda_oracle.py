@@ -1,13 +1,16 @@
 """The independent route: de Bruijn lambda terms with beta-eta normalization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bluebird import bterm as bt
 from bluebird import lambda_oracle as lo
-from bluebird.errors import StepBudgetExceeded
+from bluebird.errors import CycleNotFound, StepBudgetExceeded
 from bluebird.lambda_oracle import Abs, App, Var
+from bluebird.trees import LEAF, Node
 
-from .support import bterms_up_to
+from .support import bterm_strategy, bterms_up_to, reference_normalize
 
 
 def test_normalize_is_idempotent():
@@ -108,3 +111,75 @@ def test_format_lambda():
     assert lo.format_lambda(lo.I) == r"\.0"
     assert lo.format_lambda(lo.B) == r"\\\.2 (1 0)"
     assert lo.format_lambda(lo.O) == r"\\.0 (1 0)"
+
+
+NAMED = [lo.B, lo.C, lo.K, lo.I, lo.S, lo.O, lo.D, lo.F, lo.R, lo.T, lo.V]
+
+
+def _applications(depth: int):
+    """Application trees of at most `depth` levels over the named combinators."""
+    terms = hs.sampled_from(NAMED)
+    for _ in range(depth):
+        terms = hs.one_of(hs.sampled_from(NAMED), hs.builds(App, terms, terms))
+    return terms
+
+
+# some combinator terms diverge, and those grow fast: give them a small budget
+closed_terms = hs.one_of(
+    hs.tuples(_applications(3), hs.just(100)),
+    hs.tuples(bterm_strategy(9).map(lo.bterm_to_lambda), hs.just(lo.DEFAULT_BUDGET)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(closed_terms)
+def test_normalize_matches_the_reference(case):
+    t, budget = case
+    try:
+        want, steps = reference_normalize(t, budget)
+    except StepBudgetExceeded:
+        with pytest.raises(StepBudgetExceeded):
+            lo.normalize(t, budget)
+        return
+    got = lo.normalize(t, steps)
+    assert got == want
+    assert lo.format_lambda(got) == lo.format_lambda(want)
+    if steps:
+        with pytest.raises(StepBudgetExceeded):
+            lo.normalize(t, steps - 1)
+        with pytest.raises(StepBudgetExceeded):
+            reference_normalize(t, steps - 1)
+
+
+trees = hs.recursive(hs.just(LEAF), lambda sub: hs.builds(Node, sub, sub), max_leaves=16)
+
+
+@given(trees)
+def test_tree_lambda_roundtrip_sampled(t):
+    assert lo.lambda_to_tree(lo.tree_to_lambda(t)) == t
+
+
+def test_deep_terms():
+    n = 10**5
+    a, b = (lo.bterm_to_lambda(bt.monomial(n)) for _ in range(2))
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != lo.bterm_to_lambda(bt.monomial(n - 1))
+    assert repr(a).startswith(r"App<(\\\.2 (1 0)) ((\\\.2 (1 0)) (")
+    # \x. x (\x. x (... (\x. x x))) is normal
+    t = Var(0)
+    for _ in range(n):
+        t = Abs(App(Var(0), t))
+    assert lo.normalize(t, 0) == t
+    assert lo.format_lambda(t) == "\\.0 (" * (n - 1) + "\\.0 0" + ")" * (n - 1)
+
+
+def test_rho_lambda_deep_budget_stop():
+    with pytest.raises(CycleNotFound):
+        lo.rho_lambda(lo.bterm_to_lambda(bt.monomial(400)), max_steps=3)
+
+
+def test_format_lambda_nesting():
+    assert lo.format_lambda(App(lo.I, App(lo.K, Var(0)))) == r"(\.0) ((\\.1) 0)"
+    assert lo.format_lambda(Abs(App(App(Var(0), Abs(Var(0))), Var(1)))) == r"\.0 (\.0) 1"

@@ -1,6 +1,8 @@
 """The restricted rewriting variant: head constants of every arity."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from bluebird.errors import ParseError, StepBudgetExceeded
 from bluebird.restricted import (
@@ -113,3 +115,35 @@ def test_find_rho_restricted_small_values():
     assert find_rho_restricted(monomial_rterm(0), algorithm="floyd") == (9, 4)
     with pytest.raises(ValueError):
         find_rho_restricted(monomial_rterm(1), algorithm="gosper")
+
+
+rterms = hs.recursive(hs.builds(RConst, hs.integers(0, 12)),
+                      lambda sub: hs.builds(RApp, sub, sub), max_leaves=12)
+
+
+@given(rterms)
+def test_parse_format_roundtrip_sampled(t):
+    assert parse_rterm(format_rterm(t)) == t
+
+
+def test_parse_errors_carry_bterm_messages():
+    with pytest.raises(ParseError, match=r"empty input \(at position 0\)"):
+        parse_rterm("  ")
+    with pytest.raises(ParseError, match=r"unbalanced '\(' \(at position 2\)"):
+        parse_rterm("B (B")
+    with pytest.raises(ParseError, match="unexpected character 'B'"):
+        parse_rterm("B B^x")
+
+
+def test_deep_text_and_terms():
+    n = 10**5
+    text = "B (" * n + "B^2 B" + ")" * n
+    t = parse_rterm(text)
+    assert format_rterm(t) == text
+    u = parse_rterm(text)
+    assert t is not u
+    assert t == u
+    assert hash(t) == hash(u)
+    assert repr(t) == f"RApp<{text}>"
+    assert t != parse_rterm("B (" * n + "B^3 B" + ")" * n)
+    assert repr(RApp(RConst(2), RConst(0))) == "RApp<B^2 B>"
