@@ -159,24 +159,30 @@ def _item(name: str, flags: list[tuple[int, bool, str]]) -> CheckItem:
     return CheckItem(name, True)
 
 
-def _oracle_stats_item(x: TermLike, trees: list[BinTree], limit: int = 6) -> CheckItem:
+def _oracle_item(x: TermLike, trees: list[BinTree], limit: int = 6) -> CheckItem:
     """Independent route: normalize X(i) in the lambda calculus and compare
-    binder and head-argument counts against the tree route."""
-    from .lambda_oracle import bterm_to_lambda, term_stats
+    its normal-form tree with the tree route's, whole."""
+    from .lambda_oracle import bterm_to_lambda, lambda_to_tree, normalize
 
     if isinstance(x, str):
         x = bt.parse(x)
     flags = []
-    for i in range(1, min(limit, len(trees)) + 1):
-        stats = term_stats(bterm_to_lambda(bt.flat(x, i)), max_steps=10**6)
-        tstats = tree_stats(trees[i - 1])
-        ok = stats.binders == tstats.leaves and stats.head_args == tstats.head_args
+    for i, want in enumerate(trees[:limit], start=1):
+        got = lambda_to_tree(normalize(bterm_to_lambda(bt.flat(x, i)), max_steps=10**6))
+        ostats, tstats = tree_stats(got), tree_stats(want)
         detail = (
-            f"oracle (l={stats.binders}, a={stats.head_args}) vs "
-            f"trees (l={tstats.leaves}, a={tstats.head_args})"
+            f"oracle tree (l={ostats.leaves}, a={ostats.head_args}) differs from "
+            f"the tree route's (l={tstats.leaves}, a={tstats.head_args})"
         )
-        flags.append((i, ok, detail))
-    return _item(f"lambda oracle agrees on leaf and head-arg counts (first {len(flags)})", flags)
+        flags.append((i, tree_equal(got, want), detail))
+    return _item(f"lambda oracle agrees on the normal-form trees (first {len(flags)})", flags)
+
+
+def _orbit(x: TermLike, steps: int) -> tuple[list[DegreeSeq], list[BinTree]]:
+    """Canonical forms and normal-form trees of X(1) .. X(steps), built once
+    per suite and shared by its checks."""
+    seqs = list(iterate(x, steps))
+    return seqs, [tree_of(s) for s in seqs]
 
 
 def check_monotone(
@@ -192,8 +198,11 @@ def check_monotone(
     window adapts to the current leaf count plus a base margin, which
     stays comfortably above every stall observed across the test families.
     """
-    seqs = list(iterate(x, steps))
-    trees = [tree_of(s) for s in seqs]
+    return _monotone(*_orbit(x, steps), steps, window)
+
+
+def _monotone(seqs: list[DegreeSeq], trees: list[BinTree], steps: int,
+              window: int | None) -> Report:
     leaves = [t.size for t in trees]
     if window is None:
         margin = 2 * leaves[0] + 2
@@ -239,7 +248,11 @@ def check_general_condition(
     the family, and the base leaf count exceeds every iterate's
     head-argument count. A family closed under the orbit step with that
     property can never produce a repeat."""
-    trees = list(orbit_trees(x, steps))
+    return _general(list(orbit_trees(x, steps)), membership, steps)
+
+
+def _general(trees: list[BinTree], membership: Callable[[BinTree], bool],
+             steps: int) -> Report:
     base_leaves = trees[0].size
 
     flags = [(i, membership(t), "tree left the family") for i, t in enumerate(trees, start=1)]
@@ -261,7 +274,7 @@ def run_power_suite(mp: MonomialPower, steps: int = 200) -> Report:
     two admissible head-arg counts, monotone growth, and the lambda-oracle
     cross-check."""
     x = z_term(mp)
-    trees = list(orbit_trees(x, steps))
+    seqs, trees = _orbit(x, steps)
     stats = [tree_stats(t) for t in trees]
     gain = mp.leaf_count - 1  # leaves added by one application before head loss
 
@@ -318,10 +331,8 @@ def run_power_suite(mp: MonomialPower, steps: int = 200) -> Report:
         flags.append((i + 1, tree_equal(nxt, want), "first argument differs from prediction"))
     items.append(_item("first-arg recurrence holds (substitution-free cases)", flags))
 
-    for item in check_monotone(x, steps).items:
-        items.append(item)
-
-    items.append(_oracle_stats_item(x, trees))
+    items.extend(_monotone(seqs, trees, steps, None).items)
+    items.append(_oracle_item(x, trees))
 
     return Report(tuple(items))
 
@@ -379,9 +390,9 @@ def run_term_suite(
     """Anti-cycle evidence for an arbitrary term: monotone growth plus,
     when a family predicate is supplied, membership and the leaf/head-arg
     bound of the no-cycle argument, plus the lambda-oracle cross-check."""
-    items = list(check_monotone(x, steps, window=window).items)
+    seqs, trees = _orbit(x, steps)
+    items = list(_monotone(seqs, trees, steps, window).items)
     if membership is not None:
-        items.extend(check_general_condition(x, membership, steps).items)
-    trees = list(orbit_trees(x, min(steps, 6)))
-    items.append(_oracle_stats_item(x, trees))
+        items.extend(_general(trees, membership, steps).items)
+    items.append(_oracle_item(x, trees))
     return Report(tuple(items))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import ParseError
 
@@ -60,20 +59,6 @@ def is_leaf(e: BTerm) -> bool:
     return isinstance(e, _BLeaf)
 
 
-def size(e: BTerm) -> int:
-    """Number of B leaves in e."""
-    n = 0
-    stack = [e]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, App):
-            stack.append(t.fn)
-            stack.append(t.arg)
-        else:
-            n += 1
-    return n
-
-
 def spine(e: BTerm) -> tuple[BTerm, list[BTerm]]:
     """Decompose e = head a1 ... an along the left edge. head is always B."""
     args: list[BTerm] = []
@@ -82,10 +67,6 @@ def spine(e: BTerm) -> tuple[BTerm, list[BTerm]]:
         e = e.fn
     args.reverse()
     return e, args
-
-
-def from_spine(head: BTerm, args: list[BTerm]) -> BTerm:
-    return reduce(App, args, head)
 
 
 def flat(e: BTerm, k: int) -> BTerm:
@@ -106,15 +87,6 @@ def monomial(n: int) -> BTerm:
     for _ in range(n):
         out = App(B, out)
     return out
-
-
-def monomial_degree(e: BTerm) -> int | None:
-    """Degree n if e is syntactically monomial(n) with n >= 1, else None."""
-    n = 0
-    while isinstance(e, App) and is_leaf(e.fn):
-        n += 1
-        e = e.arg
-    return n if n >= 1 and is_leaf(e) else None
 
 
 _TOKEN = re.compile(r"\s*(B\^(\d+)|B(?![\w^])|\(|\))")

@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success (or true), 1 false / failed checks, 2 parse or usage
 errors, 3 no cycle found within the step budget, 4 checkpoint I/O problems,
-5 internal error (any other exception, reported without a traceback).
+5 internal error (any other exception, reported without a traceback),
+130 interrupted (Ctrl-C; a checkpointed rho search saves first).
 All results go to stdout and are byte-deterministic; --progress reports go
 to stderr.
 """
@@ -81,15 +82,13 @@ def cmd_is_monomial(args) -> int:
 
 
 def _lambda_input(text: str):
+    """A combinator that lambda_oracle defines by name (B, C, K, I, ...),
+    else the image of a B-term."""
     from . import lambda_oracle as lo
 
-    named = {
-        "B": lo.B, "C": lo.C, "K": lo.K, "I": lo.I, "S": lo.S, "O": lo.O,
-        "D": lo.D, "F": lo.F, "R": lo.R, "T": lo.T, "V": lo.V,
-    }
-    stripped = text.strip()
-    if stripped in named:
-        return named[stripped]
+    named = getattr(lo, text.strip(), None)
+    if isinstance(named, lo.Abs):
+        return named
     return lo.bterm_to_lambda(bt.parse(text))
 
 
@@ -112,18 +111,16 @@ def cmd_rho(args) -> int:
             )
         finally:
             stop.set()
-        entry, cycle = result.entry, result.cycle
     elif args.engine == "lambda":
         from .lambda_oracle import rho_lambda
 
         result = rho_lambda(_lambda_input(args.term), max_steps=args.max_steps,
                             algorithm=args.algorithm)
-        entry, cycle = result.entry, result.cycle
     else:
-        entry, cycle = rr.find_rho_restricted(
+        result = rr.find_rho_restricted(
             args.term, algorithm=args.algorithm, max_steps=args.max_steps
         )
-    print(f"rho = ({entry}, {cycle})")
+    print(f"rho = ({result.entry}, {result.cycle})")
     return 0
 
 
@@ -250,6 +247,9 @@ def main(argv=None) -> int:
             parser.error("--checkpoint/--resume/--progress need --engine canonical")
     try:
         return args.func(args)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:
         code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), 5)
         text = str(exc) if code < 5 else f"internal error: {type(exc).__name__}: {exc}"

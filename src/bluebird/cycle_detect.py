@@ -3,8 +3,9 @@
 The orbit of a B-term X is X(1) = X, X(i+1) = X(i) X. find_rho locates the
 least (entry, cycle) with canonical(X(entry)) = canonical(X(entry + cycle)),
 advancing entirely in degree-sequence space via fast_apply.apply_runs. The
-Floyd and Brent searches themselves are cycles.search; this module adds the
-canonical step and the checkpoint file.
+Floyd and Brent searches themselves are cycles.search, and the answer is its
+cycles.RhoResult (re-exported here); this module adds the canonical step and
+the checkpoint file.
 
 Long searches can write periodic checkpoints and resume after a hard kill.
 A checkpoint is ten lines of text:
@@ -26,8 +27,9 @@ moves the meeting index (a multiple of the cycle length) into candidate_c.
 For Brent, m stays "-" and candidate_c holds the cycle length once phase 1
 finds it. slow and fast are run-length encoded degree sequences. Writes are
 atomic (temp file, fsync, rename) and only ever happen at loop boundaries,
-so a checkpoint always describes a consistent search position. The file is
-removed when a search completes.
+so a checkpoint always describes a consistent search position. A budget
+stop or a KeyboardInterrupt writes a final checkpoint; any other exception
+leaves the last periodic one. The file is removed when a search completes.
 
 Budgets count advances (one advance = one application of X) and apply per
 run: resuming grants a fresh max_steps.
@@ -37,13 +39,12 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from . import bterm as bt
 from . import cycles
 from .canonical import DegreeSeq, Runs, canonicalize, parse_seq
-from .cycles import SearchState
+from .cycles import RhoResult, SearchState
 from .errors import CheckpointIO, CycleNotFound, FormatVersionMismatch
 from .fast_apply import apply_runs, raise_runs
 
@@ -51,16 +52,6 @@ FORMAT_LINE = "rho-checkpoint v1"
 ENGINE_NAME = "canonical"
 
 TermLike = Union[bt.BTerm, str]
-
-
-@dataclass(frozen=True, slots=True)
-class RhoResult:
-    entry: int
-    cycle: int
-
-    def __iter__(self):
-        yield self.entry
-        yield self.cycle
 
 
 def _opt(v: int | None) -> str:
@@ -178,8 +169,9 @@ def find_rho(
 
     x may be a BTerm or source text. algorithm is "brent" (default) or
     "floyd". Raises CycleNotFound rather than make more than max_steps
-    advances in this run, writing a final checkpoint first when
-    checkpoint_path is set; resuming from it continues the same search.
+    advances in this run. When checkpoint_path is set, that stop and a
+    KeyboardInterrupt write a final checkpoint before they propagate;
+    resuming from it continues the same search.
 
     With checkpoint_path, progress is saved every checkpoint_interval
     advances or checkpoint_seconds seconds, whichever comes first, and the
@@ -226,8 +218,9 @@ def find_rho(
 
     ticking = checkpoint_path is not None or state_hook is not None
     try:
-        entry, cycle = cycles.search(st, advance, max_steps, tick if ticking else None)
-    except CycleNotFound:
+        result = cycles.search(st, advance, max_steps, tick if ticking else None)
+    except (CycleNotFound, KeyboardInterrupt):
+        # the core writes st only between advances, so st is consistent
         if checkpoint_path is not None:
             save_checkpoint(st, checkpoint_path)
         raise
@@ -238,7 +231,7 @@ def find_rho(
             pass
         except OSError as exc:
             raise CheckpointIO(f"cannot remove checkpoint {checkpoint_path!r}: {exc}") from exc
-    return RhoResult(entry, cycle)
+    return result
 
 
 def iterate(x: TermLike, count: int) -> Iterator[DegreeSeq]:

@@ -5,8 +5,8 @@ Every engine walks an orbit x(1) = first, x(i + 1) = f(x(i)) and asks for
 least such positive cycle. States must support ==; f must be pure.
 
 A search is a SearchState plus an advance function. start builds a fresh
-state (one advance), search runs it to the answer from wherever it stands.
-Both algorithms live only here:
+state (one advance), search runs it to the answer, a RhoResult, from
+wherever it stands. Both algorithms live only here:
 
 floyd walks three phases. Phase 1 holds slow at x(i) and fast at x(2i)
 until they meet at index m; phase 2 restarts slow from x(1) against
@@ -27,7 +27,7 @@ search call resumes correctly. Budgets count advances, i.e. calls of f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, NamedTuple, TypeVar
 
 from .errors import CycleNotFound
 
@@ -35,6 +35,14 @@ S = TypeVar("S")
 
 MAX_STEPS = 10**10
 ALGORITHMS = ("brent", "floyd")
+
+
+class RhoResult(NamedTuple):
+    """The first repeat of an orbit, as every engine returns it; equal to
+    the plain tuple (entry, cycle)."""
+
+    entry: int
+    cycle: int
 
 
 @dataclass(slots=True)
@@ -74,8 +82,8 @@ def search(
     f: Callable[[S], S],
     max_steps: int = MAX_STEPS,
     tick: Callable[[SearchState], None] | None = None,
-) -> tuple[int, int]:
-    """Run st's algorithm to the end; returns (entry, cycle).
+) -> RhoResult:
+    """Run st's algorithm to the end; returns its (entry, cycle).
 
     Raises CycleNotFound(max_steps) instead of letting st.advances pass
     max_steps. tick is called with st after every completed iteration.
@@ -90,16 +98,15 @@ def _floyd(st, f, max_steps, tick):
         _walk(st, f, max_steps, tick, 1, 2)
         # step is a multiple of the cycle length, so the entry is the first
         # meeting of x(1), x(2), ... with x(step + 1), x(step + 2), ...
-        _next_phase(st, f, max_steps, tick, st.base, st.slow, 1, m=st.step)
+        _next_phase(st, f, max_steps, tick, st.base, st.slow, 1, st.step, None)
     if st.phase == 2:
         # invariant: slow = x(step), fast = x(m + step)
         _walk(st, f, max_steps, tick, 1, 1)
         # anchor at the entry and measure the cycle with fast alone
-        _next_phase(st, f, max_steps, tick, st.slow, st.slow, 1,
-                    m=st.step, candidate_c=st.m)
+        _next_phase(st, f, max_steps, tick, st.slow, st.slow, 1, st.step, st.m)
     # invariant: slow = x(entry) with entry in m, fast = x(entry + step)
     _walk(st, f, max_steps, tick, 0, 1)
-    return st.m, st.step
+    return RhoResult(st.m, st.step)
 
 
 def _brent(st, f, max_steps, tick):
@@ -125,10 +132,10 @@ def _brent(st, f, max_steps, tick):
                 tick(st)
         # lam is the exact cycle length; rebuild fast = x(1 + lam) and scan
         # for the entry in lockstep
-        _next_phase(st, f, max_steps, tick, st.base, st.base, lam, candidate_c=lam)
+        _next_phase(st, f, max_steps, tick, st.base, st.base, lam, None, lam)
     # invariant: slow = x(step), fast = x(step + candidate_c)
     _walk(st, f, max_steps, tick, 1, 1)
-    return st.step, st.candidate_c
+    return RhoResult(st.step, st.candidate_c)
 
 
 def _walk(st, f, max_steps, tick, slow_moves, fast_moves):
@@ -150,26 +157,25 @@ def _walk(st, f, max_steps, tick, slow_moves, fast_moves):
             tick(st)
 
 
-def _next_phase(st, f, max_steps, tick, slow, fast, moves, **found):
-    """Enter the next phase at step 1 with fast moved moves times; found
-    sets what the finished phase learned (m, candidate_c)."""
+def _next_phase(st, f, max_steps, tick, slow, fast, moves, m, candidate_c):
+    """Enter the next phase at step 1 with fast moved moves times, storing
+    what the finished phase learned in m and candidate_c. One assignment
+    writes the whole state, so an interrupt sees either phase whole."""
     if st.advances + moves > max_steps:
         raise CycleNotFound(max_steps)
     for _ in range(moves):
         fast = f(fast)
-    for name, value in found.items():
-        setattr(st, name, value)
-    st.phase += 1
-    st.slow, st.fast, st.step, st.advances = slow, fast, 1, st.advances + moves
+    st.phase, st.m, st.candidate_c, st.slow, st.fast, st.step, st.advances = (
+        st.phase + 1, m, candidate_c, slow, fast, 1, st.advances + moves)
     if tick is not None:
         tick(st)
 
 
-def floyd_rho(first: S, f: Callable[[S], S], max_steps: int = MAX_STEPS) -> tuple[int, int]:
+def floyd_rho(first: S, f: Callable[[S], S], max_steps: int = MAX_STEPS) -> RhoResult:
     """Tortoise-and-hare search; returns (entry, cycle)."""
     return search(start(first, f, "floyd"), f, max_steps)
 
 
-def brent_rho(first: S, f: Callable[[S], S], max_steps: int = MAX_STEPS) -> tuple[int, int]:
+def brent_rho(first: S, f: Callable[[S], S], max_steps: int = MAX_STEPS) -> RhoResult:
     """Brent's teleporting-anchor search; returns (entry, cycle)."""
     return search(start(first, f, "brent"), f, max_steps)

@@ -247,47 +247,23 @@ def lambda_to_tree(t: LambdaTerm) -> BinTree:
     return _decode(body, lambda i: LEAF, Node)
 
 
-@dataclass(frozen=True)
-class TermStats:
-    """Shape counters of a normal form lambda x1..xn. x1 e1 ... ek."""
-
-    binders: int                  # n, number of leading lambdas
-    head_args: int                # k, number of arguments of the head variable
-    first_arg: LambdaTerm | None  # e1, None when k = 0
-
-
-def term_stats(t: LambdaTerm, max_steps: int = DEFAULT_BUDGET) -> TermStats:
-    """Normalize t and read off its binder and head-argument counts.
-
-    Raises NotBFormShape unless the normal form is lambda x1..xn. x1 e1 ... ek.
-    """
-    nf = _normal(_encode(t), max_steps)
-    body = nf.lstrip(_ABS)
-    n = len(nf) - len(body)
-    spine = body.lstrip(_APP)
-    k = len(body) - len(spine)
-    if spine[0] == _ABS or ord(spine[0]) - 2 != n - 1:
-        raise NotBFormShape("head of the normal form is not the first binder")
-    return TermStats(n, k, _decode(spine[1:_end(spine, 1)]) if k else None)
-
-
 def rho_lambda(t: LambdaTerm, max_steps: int = cycles.MAX_STEPS,
-               algorithm: str = "brent"):
+               algorithm: str = "brent") -> cycles.RhoResult:
     """Cycle of the flat self-application sequence of t under beta-eta equality.
 
-    Returns a cycle_detect.RhoResult. States are normal forms; each advance is
-    one application followed by normalization, so this is the slow reference
-    engine. algorithm is "brent" (default) or "floyd". Raises CycleNotFound
-    past the horizon, StepBudgetExceeded if a normal form cannot be reached.
+    Returns the search core's cycles.RhoResult; the core only compares
+    states, so the answer rests on this module's normalizer alone. States
+    are normal forms as prefix strings; each advance is one application
+    followed by normalization, so this is the slow reference engine.
+    algorithm is "brent" (default) or "floyd". Raises CycleNotFound past
+    the horizon, StepBudgetExceeded if a normal form cannot be reached.
     """
-    from .cycle_detect import RhoResult
-
     base = _normal(_encode(t), DEFAULT_BUDGET)
 
     def advance(cur: str) -> str:
         return _normal(_APP + cur + base, DEFAULT_BUDGET)
 
-    return RhoResult(*cycles.search(cycles.start(base, advance, algorithm), advance, max_steps))
+    return cycles.search(cycles.start(base, advance, algorithm), advance, max_steps)
 
 
 def format_lambda(t: LambdaTerm) -> str:

@@ -19,7 +19,7 @@ isolation matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from . import bterm as bt
 from . import cycles
@@ -77,21 +77,13 @@ class RestrictedEngine:
 
     def __init__(self, max_steps: int = 10**7):
         self._node: list[tuple[int, int]] = []  # (-1, k) const | (fn, arg) app
-        self._consts: dict[int, int] = {}
-        self._apps: dict[tuple[int, int], int] = {}
+        self._apps: dict[tuple[int, int], int] = {}  # id of every node
         self._nf: dict[int, int] = {}
         self.max_steps = max_steps
         self.steps = 0
 
-    def const(self, k: int) -> int:
-        i = self._consts.get(k)
-        if i is None:
-            i = len(self._node)
-            self._node.append((-1, k))
-            self._consts[k] = i
-        return i
-
     def app(self, fn: int, arg: int) -> int:
+        """Id of the node (fn, arg); app(-1, k) is the constant Const(k)."""
         key = (fn, arg)
         i = self._apps.get(key)
         if i is None:
@@ -112,7 +104,7 @@ class RestrictedEngine:
                 raise ValueError("constant index must be >= 0")
         ids: list[int] = []  # built in reverse prefix order: fn on top of arg
         for u in reversed(order):
-            ids.append(self.app(ids.pop(), ids.pop()) if isinstance(u, RApp) else self.const(u.k))
+            ids.append(self.app(ids.pop(), ids.pop()) if isinstance(u, RApp) else self.app(-1, u.k))
         return ids[0]
 
     def extern(self, i: int) -> RTerm:
@@ -194,18 +186,12 @@ def rnormalize(t: RTerm, max_steps: int = 10**7) -> RTerm:
     return eng.extern(eng.normalize(eng.intern(t)))
 
 
-def requivalent(t1: RTerm, t2: RTerm, max_steps: int = 10**7) -> bool:
-    """Joinability under the restricted rule: equal normal forms."""
-    eng = RestrictedEngine(max_steps)
-    return eng.normalize(eng.intern(t1)) == eng.normalize(eng.intern(t2))
-
-
 def find_rho_restricted(
     x: RTerm | str,
     algorithm: str = "brent",
     max_steps: int = cycles.MAX_STEPS,
     rewrite_budget: int = 10**7,
-) -> tuple[int, int]:
+) -> cycles.RhoResult:
     """Least (entry, cycle) of the self-application orbit of x under the
     restricted rule, comparing normal forms syntactically. max_steps bounds
     orbit advances, rewrite_budget bounds total contractions."""
@@ -218,20 +204,3 @@ def find_rho_restricted(
         return eng.normalize(eng.app(i, base))
 
     return cycles.search(cycles.start(base, advance, algorithm), advance, max_steps)
-
-
-def iterate_restricted(
-    x: RTerm | str, count: int, rewrite_budget: int = 10**7
-) -> Iterator[RTerm]:
-    """Yield normal forms of X(1) .. X(count) under the restricted rule."""
-    if count < 1:
-        return
-    if isinstance(x, str):
-        x = parse_rterm(x)
-    eng = RestrictedEngine(rewrite_budget)
-    base = eng.normalize(eng.intern(x))
-    cur = base
-    yield eng.extern(cur)
-    for _ in range(count - 1):
-        cur = eng.normalize(eng.app(cur, base))
-        yield eng.extern(cur)

@@ -155,6 +155,29 @@ class TestPowerSuite:
         assert rep.passed, rep.render()
 
 
+@pytest.mark.parametrize("suite", [
+    lambda: ar.run_power_suite(ar.MonomialPower(0, 1), steps=30),
+    lambda: ar.run_term_suite(ar.example_antirho_term(), steps=30,
+                              membership=ar.in_example_family),
+], ids=["power", "term"])
+def test_suites_build_each_orbit_once(monkeypatch, suite):
+    built = []
+    monkeypatch.setattr(ar, "tree_of", lambda seq: built.append(seq) or tree_of(seq))
+    assert suite().passed
+    assert len(built) == 30
+
+
+def test_oracle_item_compares_whole_trees():
+    # same leaf and head-argument counts as iterate 2's tree, other shape
+    trees = list(ar.orbit_trees("B", 3))
+    swapped = comb(LEAF, [Node(LEAF, LEAF), LEAF])
+    assert trees[1] == comb(LEAF, [LEAF, Node(LEAF, LEAF)])
+    item = ar._oracle_item("B", [trees[0], swapped, trees[2]])
+    assert not item.ok
+    assert item.detail.startswith("at iterate 2: ")
+    assert ar._oracle_item("B", trees).ok
+
+
 class TestExampleTerm:
     def test_canonical_form(self):
         assert canonicalize(ar.example_antirho_term()).text() == "[2,2,1,1,0,0]"

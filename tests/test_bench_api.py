@@ -1,0 +1,77 @@
+"""The package API that bench/run.py calls, on tiny inputs.
+
+The benchmark script is kept unchanged between versions, so it keeps
+calling these names with these keywords; a rename or a dropped keyword
+would otherwise only show when the benchmark runs.
+"""
+
+import pytest
+
+import bluebird as bb
+import bluebird.lambda_oracle  # noqa: F401  (the benchmark imports it by name too)
+
+
+def test_find_rho_checkpointed_stop_and_resume(tmp_path):
+    path = str(tmp_path / "ck")
+    states, hooked = [], []
+    kw = dict(checkpoint_path=path, checkpoint_interval=10, checkpoint_seconds=60.0,
+              state_hook=hooked.append, on_start=states.append)
+    with pytest.raises(bb.CycleNotFound):
+        bb.find_rho("B^1 B", max_steps=20, **kw)
+    assert tuple(bb.find_rho("B^1 B", resume=True, **kw)) == (32, 20)
+    assert len(states) == 2 and hooked
+    assert all(st.advances > 0 and st.phase in (1, 2) for st in states)
+    assert hooked[-1].fast == hooked[-1].slow
+
+
+def test_restricted_entry_points():
+    r = bb.find_rho_restricted(bb.monomial_rterm(0), algorithm="brent", max_steps=100,
+                               rewrite_budget=1000)
+    assert tuple(r) == (9, 4)
+    eng = bb.RestrictedEngine(1000)
+    base = eng.normalize(eng.intern(bb.monomial_rterm(1)))
+    cur = base
+    for _ in range(2):
+        cur = eng.normalize(eng.app(cur, base))
+    assert isinstance(eng.extern(base).fn, bb.restricted.RConst)
+    assert bb.restricted.format_rterm(eng.extern(cur)) == "B (B B (B B))"
+    assert eng.steps == 1
+
+
+def test_lambda_oracle_entry_points():
+    lo = bb.lambda_oracle
+    assert tuple(lo.rho_lambda(lo.K, max_steps=100)) == (1, 2)
+    term = lo.bterm_to_lambda(bb.parse("B B"))
+    nf = lo.normalize(lo.App(term, term))
+    assert isinstance(nf, lo.Abs)
+    assert lo.equivalent(lo.bterm_to_lambda(bb.parse("B B B B")),
+                         lo.bterm_to_lambda(bb.parse("B (B B)")))
+    assert bb.canonical_via_lambda(bb.App(bb.B, bb.B)).runs == ((1, 1),)
+
+
+def test_decide_entry_points():
+    a, b = bb.parse("B B B B"), bb.parse("B (B B)")
+    assert bb.equivalent_bterms(a, b)
+    assert bb.canonicalize(a).runs == bb.canonicalize(b).runs
+
+
+def test_kernel_and_checkpoint_file(tmp_path):
+    fa, cd = bb.fast_apply, bb.cycle_detect
+    base = bb.canonicalize(bb.parse("B^2 B")).runs
+    rbase = fa.raise_runs(base)
+    second = fa.apply_runs(base, rbase)
+    st = cd.SearchState(term_text="B^2 B", algorithm="brent", phase=1, step=1,
+                        m=None, candidate_c=None, slow=base, fast=second, base=base)
+    path = str(tmp_path / "probe.ck")
+    cd.save_checkpoint(st, path)
+    back = cd.load_checkpoint(path)
+    assert (back.slow, back.fast, back.step) == (st.slow, st.fast, st.step)
+
+
+def test_search_core_entry_points():
+    def f(x):
+        return (x * x + 1) % 255
+
+    want = (3, 6)  # from 3: 3, 10, 101, 2, 5, 26, 167, 95, 101, ...
+    assert bb.cycles.brent_rho(3, f, 1000) == want
+    assert bb.cycles.floyd_rho(3, f, max_steps=1000) == want

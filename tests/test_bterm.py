@@ -1,6 +1,7 @@
 """Syntax-level tests: parsing, formatting, spines, flat powers."""
 
 import time
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -11,14 +12,12 @@ from bluebird.bterm import (
     B,
     flat,
     format_bterm,
-    from_spine,
     is_leaf,
     monomial,
-    monomial_degree,
     parse,
-    size,
     spine,
 )
+from bluebird.canonical import monomial_degree
 from bluebird.errors import ParseError
 
 from .support import bterm_shapes, bterm_strategy, bterms_up_to
@@ -27,8 +26,6 @@ from .support import bterm_shapes, bterm_strategy, bterms_up_to
 def test_leaf_basics():
     assert is_leaf(B)
     assert not is_leaf(App(B, B))
-    assert size(B) == 1
-    assert size(App(App(B, B), B)) == 3
 
 
 def test_parse_format_roundtrip_exhaustive():
@@ -94,7 +91,7 @@ def test_spine_roundtrip():
     for t in bterms_up_to(7):
         head, args = spine(t)
         assert is_leaf(head)
-        assert from_spine(head, args) == t
+        assert reduce(App, args, head) == t
 
 
 def test_flat_recurrence():
@@ -117,15 +114,6 @@ def test_monomial_shapes():
     assert monomial(3) == App(B, App(B, App(B, B)))
     for n in range(1, 12):
         assert monomial_degree(monomial(n)) == n
-        assert size(monomial(n)) == n + 1
-
-
-def test_monomial_degree_rejects_other_shapes():
-    # the bare leaf has no unique shape degree, and flat powers are not
-    # composition towers
-    assert monomial_degree(B) is None
-    assert monomial_degree(App(App(B, B), B)) is None
-    assert monomial_degree(App(App(B, B), App(B, B))) is None
 
 
 def test_deep_equality_hash_and_repr():

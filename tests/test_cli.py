@@ -1,14 +1,21 @@
 """Command-line interface: outputs, exit codes, engine selection."""
 
 import os
+import re
+import signal
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import bluebird
 from bluebird import bterm as bt
-from bluebird import cli
+from bluebird import cli, cycle_detect
 from bluebird.antirho import example_antirho_term
 from bluebird.cli import main
+from bluebird.fast_apply import apply_runs
 
 
 def run(capsys, *argv):
@@ -96,6 +103,68 @@ class TestRho:
         with pytest.raises(SystemExit) as exc:
             main(["rho", "--engine", engine, "--progress", "B"])
         assert exc.value.code == 2
+
+    def test_progress_reports_to_stderr(self, capsys, monkeypatch):
+        # at 1 ms or more per advance the search outlives the first report,
+        # which comes after 1 s, on any machine
+        def slow(runs, rbase):
+            time.sleep(0.001)
+            return apply_runs(runs, rbase)
+
+        monkeypatch.setattr(cycle_detect, "apply_runs", slow)
+        code, out, err = run(capsys, "rho", "--progress", "--max-steps", "2000", "B^4 B")
+        assert (code, out) == (3, "")
+        reports = [l for l in err.splitlines() if l.startswith("progress: ")]
+        others = [l for l in err.splitlines() if not l.startswith("progress: ")]
+        assert others == ["error: no cycle found within 2000 steps"]
+        assert reports
+        for line in reports:
+            assert re.fullmatch(
+                r"progress: phase=1 step=\d+ advances=\d+ seq-units=\d+", line)
+
+    def test_interrupt_saves_checkpoint_and_exits_130(self, capsys, monkeypatch, tmp_path):
+        calls = [0]
+
+        def interrupted(runs, rbase):
+            calls[0] += 1
+            if calls[0] == 500:
+                raise KeyboardInterrupt
+            return apply_runs(runs, rbase)
+
+        monkeypatch.setattr(cycle_detect, "apply_runs", interrupted)
+        path = str(tmp_path / "ck")
+        code, out, err = run(capsys, "rho", "--checkpoint", path, "B^2 B")
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+        monkeypatch.undo()
+        code, out, err = run(capsys, "rho", "--checkpoint", path, "--resume", "B^2 B")
+        assert (code, out, err) == (0, "rho = (258, 36)\n", "")
+        assert not os.path.exists(path)
+
+    def test_sigint_exits_130_and_leaves_a_checkpoint(self, capsys, tmp_path):
+        ck = tmp_path / "ck"
+        src = str(Path(bluebird.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bluebird.cli", "rho", "--checkpoint", str(ck),
+             "--checkpoint-interval", "1000", "B^4 B"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            # the first periodic save shows the search loop is running
+            deadline = time.monotonic() + 60
+            while not ck.exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+        code, out, err = run(capsys, "rho", "--checkpoint", str(ck), "--resume",
+                             "--max-steps", "1000", "B^4 B")
+        assert (code, out, err) == (3, "", "error: no cycle found within 1000 steps\n")
+        assert cycle_detect.load_checkpoint(str(ck)).step > 1000
 
     def test_lambda_engine_passes_algorithm(self, capsys, monkeypatch):
         from bluebird import lambda_oracle as lo

@@ -246,6 +246,31 @@ class TestKillResume:
                 r = find_rho("B^2 B", max_steps=2000, checkpoint_path=path, resume=True)
             assert (budget, tuple(r)) == (budget, (258, 36))
 
+    @pytest.mark.parametrize("algorithm", ["brent", "floyd"])
+    def test_interrupt_at_every_advance_resumes(self, tmp_path, monkeypatch, algorithm):
+        # Ctrl-C lands inside some advance; the checkpoint it writes must
+        # resume to the same answer. Advance 1 is the fresh state, made
+        # before the search runs; past 1,097 a Brent search has finished.
+        memo = lru_cache(None)(apply_runs)
+        path = str(tmp_path / "ck")
+        for n in range(2, 1101):
+            calls = [0]
+
+            def interrupted(runs, rbase):
+                calls[0] += 1
+                if calls[0] == n:
+                    raise KeyboardInterrupt
+                return memo(runs, rbase)
+
+            monkeypatch.setattr(cycle_detect, "apply_runs", interrupted)
+            try:
+                r = find_rho("B^2 B", algorithm=algorithm, checkpoint_path=path)
+            except KeyboardInterrupt:
+                monkeypatch.setattr(cycle_detect, "apply_runs", memo)
+                r = find_rho("B^2 B", checkpoint_path=path, resume=True)
+            assert (n, tuple(r)) == (n, (258, 36))
+            assert not os.path.exists(path)
+
     def test_success_removes_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck")
         r = find_rho("B^1 B", checkpoint_path=path, checkpoint_interval=1,

@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from bluebird import cli, lambda_oracle
+from bluebird import cli, cycle_detect, lambda_oracle
 from bluebird.cycle_detect import find_rho
-from bluebird.cycles import ALGORITHMS, MAX_STEPS, brent_rho, floyd_rho, search, start
+from bluebird.cycles import (
+    ALGORITHMS,
+    MAX_STEPS,
+    RhoResult,
+    brent_rho,
+    floyd_rho,
+    search,
+    start,
+)
 from bluebird.errors import CycleNotFound
-from bluebird.restricted import find_rho_restricted
+from bluebird.restricted import find_rho_restricted, monomial_rterm
 
 
 def brute(first, f, limit=10_000):
@@ -89,3 +97,19 @@ def test_one_default_budget():
                floyd_rho, brent_rho, search):
         assert inspect.signature(fn).parameters["max_steps"].default == MAX_STEPS
     assert cli.build_parser().parse_args(["rho", "B"]).max_steps == MAX_STEPS
+
+
+def test_every_engine_returns_one_result_type():
+    f = {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 3}.get
+    results = [
+        (find_rho("B"), (6, 4)),
+        (find_rho_restricted(monomial_rterm(0)), (9, 4)),
+        (lambda_oracle.rho_lambda(lambda_oracle.K), (1, 2)),
+        (brent_rho(0, f), (4, 4)),
+        (floyd_rho(0, f), (4, 4)),
+    ]
+    for got, want in results:
+        assert type(got) is RhoResult
+        assert got == want
+        assert (got.entry, got.cycle) == want
+    assert cycle_detect.RhoResult is RhoResult

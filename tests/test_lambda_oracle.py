@@ -8,7 +8,7 @@ from bluebird import bterm as bt
 from bluebird import lambda_oracle as lo
 from bluebird.errors import CycleNotFound, StepBudgetExceeded
 from bluebird.lambda_oracle import Abs, App, Var
-from bluebird.trees import LEAF, Node
+from bluebird.trees import LEAF, Node, split_spine
 
 from .support import bterm_strategy, bterms_up_to, reference_normalize
 
@@ -76,12 +76,17 @@ def test_bterm_images_normalize_to_tree_images():
 
 
 def test_term_stats():
-    s = lo.term_stats(lo.bterm_to_lambda(bt.B))
-    assert (s.binders, s.head_args) == (3, 1)
-    assert s.first_arg == App(Var(1), Var(0))
+    # binders and head arguments of a normal form, read off its tree
+    def shape(t):
+        tree = lo.lambda_to_tree(lo.normalize(t))
+        return tree, split_spine(tree)[1]
 
-    s6 = lo.term_stats(lo.bterm_to_lambda(bt.flat(bt.B, 6)))
-    assert (s6.binders, s6.head_args) == (5, 2)
+    tree, args = shape(lo.bterm_to_lambda(bt.B))
+    assert (tree.size, len(args)) == (3, 1)
+    assert args[0] == Node(LEAF, LEAF)  # the first argument x2 x3
+
+    tree6, args6 = shape(lo.bterm_to_lambda(bt.flat(bt.B, 6)))
+    assert (tree6.size, len(args6)) == (5, 2)
 
 
 def test_rho_lambda_small_values():
