@@ -20,7 +20,8 @@ canonical.tree_of, with the lambda oracle cross-checking small iterates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from itertools import pairwise
+from typing import Callable, Iterable, Union
 
 from . import bterm as bt
 from .canonical import DegreeSeq, seq_to_bterm, tree_of
@@ -98,33 +99,6 @@ def in_iterate_family(t: BinTree, mp: MonomialPower) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class TreeStats:
-    """Shape summary of a normal-form tree: leaf count, number of arguments
-    applied to the head variable, and the first two of those arguments."""
-
-    leaves: int
-    head_args: int
-    first_arg: BinTree | None
-    second_arg: BinTree | None
-
-
-def tree_stats(t: BinTree) -> TreeStats:
-    head, args = split_spine(t)
-    return TreeStats(
-        leaves=t.size,
-        head_args=len(args),
-        first_arg=args[0] if args else None,
-        second_arg=args[1] if len(args) > 1 else None,
-    )
-
-
-def orbit_trees(x: TermLike, count: int) -> Iterator[BinTree]:
-    """Normal-form trees of X(1) .. X(count)."""
-    for seq in iterate(x, count):
-        yield tree_of(seq)
-
-
-@dataclass(frozen=True, slots=True)
 class CheckItem:
     name: str
     ok: bool
@@ -152,30 +126,36 @@ class Report:
         return "\n".join(lines)
 
 
-def _item(name: str, flags: list[tuple[int, bool, str]]) -> CheckItem:
-    for i, ok, detail in flags:
-        if not ok:
-            return CheckItem(name, False, f"at iterate {i}: {detail}")
+def _check(name: str, failures: Iterable[tuple[int, str]]) -> CheckItem:
+    """Fail at the first (iterate, detail) that failures yields, else pass.
+    failures is lazy: nothing past the first failure is examined, and only
+    that failure's detail is formatted."""
+    for i, detail in failures:
+        return CheckItem(name, False, f"at iterate {i}: {detail}")
     return CheckItem(name, True)
 
 
-def _oracle_item(x: TermLike, trees: list[BinTree], limit: int = 6) -> CheckItem:
+_ORACLE_ITERATES = 6  # the lambda route slows down fast as iterates grow
+
+
+def _oracle_item(x: TermLike, trees: list[BinTree]) -> CheckItem:
     """Independent route: normalize X(i) in the lambda calculus and compare
     its normal-form tree with the tree route's, whole."""
     from .lambda_oracle import bterm_to_lambda, lambda_to_tree, normalize
 
     if isinstance(x, str):
         x = bt.parse(x)
-    flags = []
-    for i, want in enumerate(trees[:limit], start=1):
-        got = lambda_to_tree(normalize(bterm_to_lambda(bt.flat(x, i)), max_steps=10**6))
-        ostats, tstats = tree_stats(got), tree_stats(want)
-        detail = (
-            f"oracle tree (l={ostats.leaves}, a={ostats.head_args}) differs from "
-            f"the tree route's (l={tstats.leaves}, a={tstats.head_args})"
-        )
-        flags.append((i, tree_equal(got, want), detail))
-    return _item(f"lambda oracle agrees on the normal-form trees (first {len(flags)})", flags)
+    shown = trees[:_ORACLE_ITERATES]
+
+    def mismatches():
+        for i, want in enumerate(shown, start=1):
+            got = lambda_to_tree(normalize(bterm_to_lambda(bt.flat(x, i)), max_steps=10**6))
+            if not tree_equal(got, want):
+                yield i, (f"oracle tree (l={got.size}, a={len(split_spine(got)[1])}) differs "
+                          f"from the tree route's (l={want.size}, a={len(split_spine(want)[1])})")
+
+    return _check(f"lambda oracle agrees on the normal-form trees (first {len(shown)})",
+                  mismatches())
 
 
 def _orbit(x: TermLike, steps: int) -> tuple[list[DegreeSeq], list[BinTree]]:
@@ -185,9 +165,8 @@ def _orbit(x: TermLike, steps: int) -> tuple[list[DegreeSeq], list[BinTree]]:
     return seqs, [tree_of(s) for s in seqs]
 
 
-def check_monotone(
-    x: TermLike, steps: int, window: int | None = None
-) -> Report:
+def _monotone(seqs: list[DegreeSeq], trees: list[BinTree], steps: int,
+              window: int | None) -> list[CheckItem]:
     """Cycle-freedom evidence over X(1) .. X(steps): the leaf count never
     decreases, keeps increasing, and no canonical form repeats.
 
@@ -198,74 +177,33 @@ def check_monotone(
     window adapts to the current leaf count plus a base margin, which
     stays comfortably above every stall observed across the test families.
     """
-    return _monotone(*_orbit(x, steps), steps, window)
-
-
-def _monotone(seqs: list[DegreeSeq], trees: list[BinTree], steps: int,
-              window: int | None) -> Report:
     leaves = [t.size for t in trees]
-    if window is None:
-        margin = 2 * leaves[0] + 2
-        windows = [leaves[i] + margin for i in range(len(leaves))]
-        label = "within a dynamic window (heuristic)"
-    else:
-        windows = [window] * len(leaves)
-        label = f"within any {window} iterates (heuristic window)"
+    margin = 2 * leaves[0] + 2
+    label = ("within a dynamic window (heuristic)" if window is None
+             else f"within any {window} iterates (heuristic window)")
 
-    flags = [
-        (i + 1, leaves[i + 1] >= leaves[i], f"leaf count {leaves[i]} -> {leaves[i + 1]}")
-        for i in range(len(leaves) - 1)
+    def stalls():
+        for i, here in enumerate(leaves):
+            j = i + (here + margin if window is None else window)
+            if j >= len(leaves):
+                return
+            if leaves[j] <= here:
+                yield i + 1, f"leaf count stuck at {here} from iterate {i + 1} to {j + 1}"
+
+    def repeats():
+        seen: dict[tuple, int] = {}
+        for i, s in enumerate(seqs, start=1):
+            prev = seen.setdefault(s.runs, i)
+            if prev != i:
+                yield i, f"canonical form equals iterate {prev}"
+
+    return [
+        _check("leaf count never decreases",
+               ((i, f"leaf count {a} -> {b}")
+                for i, (a, b) in enumerate(pairwise(leaves), start=1) if b < a)),
+        _check(f"leaf count strictly increases {label}", stalls()),
+        _check(f"no canonical form repeats in {steps} iterates", repeats()),
     ]
-    non_decreasing = _item("leaf count never decreases", flags)
-
-    flags = []
-    for i in range(len(leaves)):
-        j = i + windows[i]
-        if j >= len(leaves):
-            break
-        flags.append(
-            (i + 1, leaves[j] > leaves[i],
-             f"leaf count stuck at {leaves[i]} from iterate {i + 1} to {j + 1}")
-        )
-    growing = _item(f"leaf count strictly increases {label}", flags)
-
-    seen: dict[tuple, int] = {}
-    flags = []
-    for i, s in enumerate(seqs, start=1):
-        prev = seen.setdefault(s.runs, i)
-        flags.append((i, prev == i, f"canonical form equals iterate {prev}"))
-    distinct = _item(f"no canonical form repeats in {steps} iterates", flags)
-
-    return Report((non_decreasing, growing, distinct))
-
-
-def check_general_condition(
-    x: TermLike,
-    membership: Callable[[BinTree], bool],
-    steps: int,
-) -> Report:
-    """Sampled form of the no-cycle argument: every iterate tree belongs to
-    the family, and the base leaf count exceeds every iterate's
-    head-argument count. A family closed under the orbit step with that
-    property can never produce a repeat."""
-    return _general(list(orbit_trees(x, steps)), membership, steps)
-
-
-def _general(trees: list[BinTree], membership: Callable[[BinTree], bool],
-             steps: int) -> Report:
-    base_leaves = trees[0].size
-
-    flags = [(i, membership(t), "tree left the family") for i, t in enumerate(trees, start=1)]
-    member = _item(f"all {steps} iterate trees stay in the family", flags)
-
-    flags = [
-        (i, base_leaves >= tree_stats(t).head_args + 1,
-         f"base has {base_leaves} leaves but iterate applies {tree_stats(t).head_args} arguments")
-        for i, t in enumerate(trees, start=1)
-    ]
-    bound = _item("base leaf count exceeds every head-argument count", flags)
-
-    return Report((member, bound))
 
 
 def run_power_suite(mp: MonomialPower, steps: int = 200) -> Report:
@@ -275,66 +213,60 @@ def run_power_suite(mp: MonomialPower, steps: int = 200) -> Report:
     cross-check."""
     x = z_term(mp)
     seqs, trees = _orbit(x, steps)
-    stats = [tree_stats(t) for t in trees]
+    args = [split_spine(t)[1] for t in trees]
     gain = mp.leaf_count - 1  # leaves added by one application before head loss
-
-    items = []
-
-    flags = [(i, in_iterate_family(t, mp), "tree left the family")
-             for i, t in enumerate(trees, start=1)]
-    items.append(_item(f"all {steps} iterate trees stay in the family", flags))
-
     low, high = mp.k + 1, mp.width + mp.k + 1
-    flags = [(i, s.head_args in (low, high), f"head applies {s.head_args} arguments")
-             for i, s in enumerate(stats, start=1)]
-    items.append(_item(f"head-argument count always {low} or {high}", flags))
 
-    flags = []
-    for i in range(len(stats) - 1):
-        want = stats[i].leaves + gain - stats[i].head_args
-        got = stats[i + 1].leaves
-        flags.append((i + 1, got == want, f"expected {want} leaves, got {got}"))
-    items.append(_item("leaf-count recurrence holds", flags))
+    def leaf_recurrence():
+        for i in range(1, len(trees)):
+            want = trees[i - 1].size + gain - len(args[i - 1])
+            if trees[i].size != want:
+                yield i, f"expected {want} leaves, got {trees[i].size}"
 
-    flags = []
-    for i in range(len(stats) - 1):
-        first = stats[i].first_arg
-        if first is None:
-            flags.append((i + 1, False, "iterate has no head arguments"))
-            continue
-        want = tree_stats(first).head_args + mp.k + 1
-        got = stats[i + 1].head_args
-        flags.append((i + 1, got == want, f"expected {want} head arguments, got {got}"))
-    items.append(_item("head-arg recurrence holds", flags))
-
-    flags = []
-    for i in range(len(stats) - 1):
-        first = stats[i].first_arg
-        nxt = stats[i + 1].first_arg
-        if first is None or nxt is None:
-            flags.append((i + 1, False, "iterate has no head arguments"))
-            continue
-        if first is LEAF:
-            # the next first argument is built by substituting into the
-            # base's first argument; that collapses to the plain second
-            # argument only when the base's first argument is a lone leaf,
-            # i.e. k >= 1. For k = 0 the substituted shape is not asserted
-            # here; the oracle cross-check still covers those iterates.
-            if mp.k == 0:
+    def head_arg_recurrence():
+        for i in range(1, len(trees)):
+            if not args[i - 1]:
+                yield i, "iterate has no head arguments"
                 continue
-            want = stats[i].second_arg
-        else:
-            want = tree_stats(first).first_arg
-        if want is None:
-            flags.append((i + 1, False, "recurrence source argument missing"))
-            continue
-        flags.append((i + 1, tree_equal(nxt, want), "first argument differs from prediction"))
-    items.append(_item("first-arg recurrence holds (substitution-free cases)", flags))
+            want = len(split_spine(args[i - 1][0])[1]) + mp.k + 1
+            if len(args[i]) != want:
+                yield i, f"expected {want} head arguments, got {len(args[i])}"
 
-    items.extend(_monotone(seqs, trees, steps, None).items)
-    items.append(_oracle_item(x, trees))
+    def first_arg_recurrence():
+        for i in range(1, len(trees)):
+            prev, cur = args[i - 1], args[i]
+            if not prev or not cur:
+                yield i, "iterate has no head arguments"
+                continue
+            if prev[0] is LEAF:
+                # the next first argument is built by substituting into the
+                # base's first argument; that collapses to the plain second
+                # argument only when the base's first argument is a lone leaf,
+                # i.e. k >= 1. For k = 0 the substituted shape is not asserted
+                # here; the oracle cross-check still covers those iterates.
+                if mp.k == 0:
+                    continue
+                source = prev[1:]
+            else:
+                source = split_spine(prev[0])[1]
+            if not source:
+                yield i, "recurrence source argument missing"
+            elif not tree_equal(cur[0], source[0]):
+                yield i, "first argument differs from prediction"
 
-    return Report(tuple(items))
+    return Report((
+        _check(f"all {steps} iterate trees stay in the family",
+               ((i, "tree left the family")
+                for i, t in enumerate(trees, start=1) if not in_iterate_family(t, mp))),
+        _check(f"head-argument count always {low} or {high}",
+               ((i, f"head applies {len(a)} arguments")
+                for i, a in enumerate(args, start=1) if len(a) not in (low, high))),
+        _check("leaf-count recurrence holds", leaf_recurrence()),
+        _check("head-arg recurrence holds", head_arg_recurrence()),
+        _check("first-arg recurrence holds (substitution-free cases)", first_arg_recurrence()),
+        *_monotone(seqs, trees, steps, None),
+        _oracle_item(x, trees),
+    ))
 
 
 def example_antirho_term() -> bt.BTerm:
@@ -388,11 +320,26 @@ def run_term_suite(
     window: int | None = None,
 ) -> Report:
     """Anti-cycle evidence for an arbitrary term: monotone growth plus,
-    when a family predicate is supplied, membership and the leaf/head-arg
-    bound of the no-cycle argument, plus the lambda-oracle cross-check."""
+    when a family predicate is supplied, the sampled form of the no-cycle
+    argument, plus the lambda-oracle cross-check.
+
+    The no-cycle argument: every iterate tree belongs to the family, and
+    the base leaf count exceeds every iterate's head-argument count. A
+    family closed under the orbit step with that property can never
+    produce a repeat, so the membership and bound items sample, over
+    X(1) .. X(steps), the two facts the argument rests on."""
     seqs, trees = _orbit(x, steps)
-    items = list(_monotone(seqs, trees, steps, window).items)
+    items = _monotone(seqs, trees, steps, window)
     if membership is not None:
-        items.extend(_general(trees, membership, steps).items)
+        base_leaves = trees[0].size
+        heads = (len(split_spine(t)[1]) for t in trees)
+        items += [
+            _check(f"all {steps} iterate trees stay in the family",
+                   ((i, "tree left the family")
+                    for i, t in enumerate(trees, start=1) if not membership(t))),
+            _check("base leaf count exceeds every head-argument count",
+                   ((i, f"base has {base_leaves} leaves but iterate applies {a} arguments")
+                    for i, a in enumerate(heads, start=1) if a >= base_leaves)),
+        ]
     items.append(_oracle_item(x, trees))
     return Report(tuple(items))

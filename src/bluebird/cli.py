@@ -27,7 +27,7 @@ from . import antirho as ar
 from . import bterm as bt
 from . import cycles
 from . import restricted as rr
-from .canonical import canonicalize, equivalent_bterms
+from .canonical import canonicalize, equivalent_bterms, tree_of
 from .cycle_detect import find_rho, iterate
 from .errors import (
     CheckpointIO,
@@ -35,6 +35,7 @@ from .errors import (
     ParseError,
     StepBudgetExceeded,
 )
+from .trees import split_spine
 
 
 def _progress_monitor(stop: threading.Event):
@@ -125,15 +126,11 @@ def cmd_rho(args) -> int:
 
 
 def cmd_iterate(args) -> int:
-    if args.stats:
-        from .antirho import tree_stats
-        from .canonical import tree_of
-
-        for i, seq in enumerate(iterate(args.term, args.count), start=1):
-            stats = tree_stats(tree_of(seq))
-            print(f"{i}\t{seq.text()}\tl={stats.leaves}\ta={stats.head_args}")
-    else:
-        for i, seq in enumerate(iterate(args.term, args.count), start=1):
+    for i, seq in enumerate(iterate(args.term, args.count), start=1):
+        if args.stats:
+            t = tree_of(seq)
+            print(f"{i}\t{seq.text()}\tl={t.size}\ta={len(split_spine(t)[1])}")
+        else:
             print(f"{i}\t{seq.text()}")
     return 0
 
@@ -152,9 +149,6 @@ def _monomial_power(args, missing: str) -> ar.MonomialPower:
 
 
 def cmd_antirho(args) -> int:
-    for flag in ("steps", "window"):
-        if getattr(args, flag) is not None and getattr(args, flag) < 1:
-            raise _UsageError(f"--{flag} must be >= 1")
     if args.term is None:
         mp = _monomial_power(args, "antirho needs --k and --n, or --term")
         steps = args.steps if args.steps is not None else 200
@@ -234,6 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# least accepted value of each numeric option; argparse cannot say this
+_MINIMA = {"max_steps": 1, "count": 1, "checkpoint_interval": 1,
+           "checkpoint_seconds": 0, "steps": 1, "window": 1}
+
 _EXIT_CODES = ((ParseError, 2), (_UsageError, 2), (CycleNotFound, 3),
                (StepBudgetExceeded, 3), (CheckpointIO, 4))  # anything else: 5
 
@@ -246,6 +244,10 @@ def main(argv=None) -> int:
                 or getattr(args, "progress", False)):
             parser.error("--checkpoint/--resume/--progress need --engine canonical")
     try:
+        for dest, least in _MINIMA.items():
+            value = getattr(args, dest, None)
+            if value is not None and not value >= least:  # "not >=" also refuses nan
+                raise _UsageError(f"--{dest.replace('_', '-')} must be >= {least}")
         return args.func(args)
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

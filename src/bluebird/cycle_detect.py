@@ -129,6 +129,8 @@ def load_checkpoint(path: str) -> SearchState:
         raise CheckpointIO(f"checkpoint {path!r}: bad phase/step")
     m = _opt_int(_field(lines, 6, "m", path), "m", path)
     candidate_c = _opt_int(_field(lines, 7, "candidate_c", path), "candidate_c", path)
+    if any(v is not None and v < 1 for v in (m, candidate_c)):
+        raise CheckpointIO(f"checkpoint {path!r}: m and candidate_c must be >= 1")
     if algorithm == "brent" and phase == 3:
         raise CheckpointIO(f"checkpoint {path!r}: brent searches have no phase 3")
     if algorithm == "brent" and phase == 2 and candidate_c is None:

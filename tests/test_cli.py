@@ -183,6 +183,18 @@ class TestRho:
             assert (code, out) == (0, "rho = (1, 2)\n")
         assert seen == ["floyd", "brent"]
 
+    @pytest.mark.parametrize("fields", [
+        "algorithm: brent\nphase: 2\nstep: 1\nm: -\ncandidate_c: 0",
+        "algorithm: floyd\nphase: 3\nstep: 1\nm: -7\ncandidate_c: 5",
+    ], ids=["brent-c0", "floyd-m-7"])
+    def test_impossible_checkpoint_counters_exit_four(self, capsys, tmp_path, fields):
+        path = tmp_path / "ck"
+        path.write_text("rho-checkpoint v1\nterm: B\nengine: canonical\n"
+                        + fields + "\nslow: 0*1\nfast: 0*1\n")
+        code, out, err = run(capsys, "rho", "--resume", "--checkpoint", str(path), "B")
+        assert (code, out) == (4, "")
+        assert err.endswith("m and candidate_c must be >= 1\n")
+
     def test_checkpoint_roundtrip_through_cli(self, capsys, tmp_path):
         path = str(tmp_path / "ck")
         code, out, _ = run(capsys, "rho", "--checkpoint", path, "B^1 B")
@@ -233,6 +245,30 @@ class TestAntirho:
     def test_bad_values_exit_two(self, capsys, argv, message):
         code, out, err = run(capsys, "antirho", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rho", "--max-steps", "-5", "B"], "--max-steps must be >= 1"),
+    (["rho", "--max-steps", "0", "B"], "--max-steps must be >= 1"),
+    (["iterate", "--count", "0", "B"], "--count must be >= 1"),
+    (["iterate", "--count", "-1", "B"], "--count must be >= 1"),
+    (["rho", "--checkpoint-interval", "0", "B"], "--checkpoint-interval must be >= 1"),
+    (["rho", "--checkpoint-interval", "-3", "B"], "--checkpoint-interval must be >= 1"),
+    (["rho", "--checkpoint-seconds", "-1", "B"], "--checkpoint-seconds must be >= 0"),
+    (["rho", "--checkpoint-seconds", "nan", "B"], "--checkpoint-seconds must be >= 0"),
+], ids=["max-steps-5", "max-steps0", "count0", "count-1", "interval0", "interval-3",
+        "seconds-1", "seconds-nan"])
+def test_numbers_below_their_minimum_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_numbers_at_their_minimum_run(capsys):
+    assert run(capsys, "rho", "--max-steps", "1", "B")[0] == 3
+    assert run(capsys, "iterate", "--count", "1", "B")[:2] == (0, "1\t[0]\n")
+    code, out, _ = run(capsys, "rho", "--checkpoint-interval", "1",
+                       "--checkpoint-seconds", "0", "B")
+    assert (code, out) == (0, "rho = (6, 4)\n")
 
 
 def test_unexpected_exception_exits_five(capsys, monkeypatch):

@@ -170,6 +170,23 @@ class TestCheckpointFile:
             fh.write("rho-checkpoint v1\nterm: B (B B)\nengine: canonical\n" + text + "\n")
         assert tuple(find_rho("B^2 B", checkpoint_path=path, resume=True)) == (258, 36)
 
+    @pytest.mark.parametrize("fields", [
+        "algorithm: brent\nphase: 2\nstep: 1\nm: -\ncandidate_c: 0",
+        "algorithm: floyd\nphase: 3\nstep: 1\nm: -7\ncandidate_c: 5",
+        "algorithm: floyd\nphase: 2\nstep: 1\nm: 0\ncandidate_c: -",
+    ], ids=["brent-c0", "floyd-m-7", "floyd-m0"])
+    def test_load_rejects_impossible_counters(self, tmp_path, fields):
+        # otherwise well formed; no search writes these, and resuming one
+        # would print an answer such as (1, 0) or a negative entry
+        path = str(tmp_path / "ck")
+        with open(path, "w") as fh:
+            fh.write("rho-checkpoint v1\nterm: B\nengine: canonical\n"
+                     + fields + "\nslow: 0*1\nfast: 0*1\n")
+        with pytest.raises(CheckpointIO, match="must be >= 1"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointIO, match="must be >= 1"):
+            find_rho("B", checkpoint_path=path, resume=True)
+
     def test_resume_missing_file(self, tmp_path):
         with pytest.raises(CheckpointIO):
             find_rho("B", checkpoint_path=str(tmp_path / "absent"), resume=True)
