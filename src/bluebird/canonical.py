@@ -7,9 +7,10 @@ Every B-term is equivalent to a unique composition chain
 so a non-increasing sequence of degrees [n1, ..., nk] is a complete invariant:
 two B-terms are beta-eta equivalent iff their sequences match. DegreeSeq
 stores the sequence run-length encoded; canonicalize computes it by folding
-the term's applications through _apply_into, the one merge kernel that the
-orbit searches also run via apply_runs; canonical_via_lambda recomputes it
-through the lambda oracle so the two routes can be cross-checked.
+the term's applications through _apply_into, the one merge kernel, which
+the orbit search also runs on LazyRuns, the same runs kept flat with a lazy
+degree offset; canonical_via_lambda recomputes it through the lambda oracle
+so the two routes can be cross-checked.
 
 The only non-trivial law is the adjacent swap
 
@@ -22,6 +23,7 @@ strictly smaller neighbour, gaining one degree per element passed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from . import bterm as bt
 from .errors import ParseError
@@ -118,47 +120,95 @@ def raise_runs(runs: Runs, by: int = 1) -> Runs:
     return tuple((d + by, m) for d, m in runs)
 
 
-_B_RUNS: Runs = ((0, 1),)  # canonical(B), shared by every leaf argument
+_B_FLAT = (0, 1)  # canonical(B) as flat runs, shared by every leaf argument
 
 
-def _apply_into(acc: list[list[int]], runs: Runs | list[list[int]], lift: int) -> None:
-    """The one application kernel: acc becomes canonical(X Y), where acc is
-    canonical(X) and runs with every degree raised by lift is canonical(B Y).
+def _apply_into(acc: list[int], runs: list[int] | tuple[int, ...], lift: int, t: int) -> None:
+    """The one application kernel, on flat runs with a lazy degree offset.
 
-    Each run of B Y is merged into acc from the right, bubbling left past
-    every strictly smaller degree and gaining one degree per unit passed;
-    identical units land adjacently, so a whole run moves in one shot. The
-    merged runs have no zero-degree units, so at most one zero run is left,
-    at the tail; dropping it and lowering every degree undoes the B.
+    acc = [d0 + t, m0, d1 + t, m1, ...] is canonical(X) with offset t, and
+    runs (flat too) with every degree raised by lift is canonical(B Y) at
+    that offset. acc becomes canonical(X Y) at offset t + 1: each run of
+    B Y is merged in from the right, bubbling left past every strictly
+    smaller degree and gaining one degree per unit passed; identical units
+    land adjacently, so a whole run moves in one shot. The merged runs have
+    no zero-degree units, so at most one zero run is left, at the tail;
+    dropping it undoes the B, and raising the offset to t + 1 (the
+    caller's part) lowers every degree without a pass over them.
     """
-    for d, m in runs:
-        d += lift
+    n, j = len(runs), 0
+    while j < n:
+        x = runs[j] + lift
         i = len(acc)
-        while i > 0 and acc[i - 1][0] < d:
-            d += acc[i - 1][1]
-            i -= 1
-        if i > 0 and acc[i - 1][0] == d:
-            acc[i - 1][1] += m
+        while i and acc[i - 2] < x:
+            x += acc[i - 1]
+            i -= 2
+        if i and acc[i - 2] == x:
+            acc[i - 1] += runs[j + 1]
         else:
-            acc.insert(i, [d, m])
-    if acc[-1][0] == 0:
+            acc.insert(i, runs[j + 1])
+            acc.insert(i, x)
+        j += 2
+    if acc[-2] == t:
         acc.pop()
-    for run in acc:
-        run[0] -= 1
+        acc.pop()
+
+
+def _runs(flat: list[int], t: int) -> Runs:
+    """The run tuples of flat runs at offset t."""
+    it = iter(flat)
+    return tuple([(d - t, m) for d, m in zip(it, it)])
+
+
+class LazyRuns:
+    """A canonical form as the orbit search holds it: flat runs
+    [d0 + t, m0, d1 + t, m1, ...] with their offset t, so one application
+    costs one merge and no pass over the runs. Immutable by convention:
+    whoever merges copies flat first. == compares canonical forms whatever
+    the offsets; runs() gives the DegreeSeq runs.
+    """
+
+    __slots__ = ("flat", "t")
+
+    def __init__(self, flat: list[int], t: int) -> None:
+        self.flat = flat
+        self.t = t
+
+    @staticmethod
+    def of(runs: Runs) -> "LazyRuns":
+        return LazyRuns(list(chain.from_iterable(runs)), 0)
+
+    def runs(self) -> Runs:
+        return _runs(self.flat, self.t)
+
+    def units(self) -> int:
+        return sum(self.flat[1::2])
+
+    def __eq__(self, other) -> bool:
+        # a cheap key first (length, tail multiplicity, tail and head
+        # degrees), then every degree with the offsets taken out
+        a, b = self.flat, other.flat
+        d = self.t - other.t
+        if len(a) != len(b) or a[-1] != b[-1] or a[-2] - b[-2] != d or a[0] - b[0] != d:
+            return False
+        return a[1::2] == b[1::2] and all(x - y == d for x, y in zip(a[::2], b[::2]))
 
 
 def apply_runs(runs: Runs, raised_base: Runs) -> Runs:
     """One application step on raw runs: canonical form of (X Y) where runs
     is canonical(X) and raised_base is raise_runs(canonical(Y))."""
-    acc = [[d, m] for d, m in runs]
-    _apply_into(acc, raised_base, 0)
-    return tuple(map(tuple, acc))
+    acc = list(chain.from_iterable(runs))
+    _apply_into(acc, tuple(chain.from_iterable(raised_base)), 0, 0)
+    return _runs(acc, 1)
 
 
-def _fold(e: bt.BTerm) -> list[list[int]]:
-    """Canonical runs of e, folded bottom-up with an explicit stack: the
-    spine B a1 ... an is B's [[0, 1]] applied to a1, ..., an in turn."""
-    acc, args, i = [[0, 1]], bt.spine(e)[1], 0
+def _fold(e: bt.BTerm) -> tuple[list[int], int]:
+    """Canonical form of e as flat runs and their offset, folded bottom-up
+    with an explicit stack: the spine B a1 ... an is B's [0, 1] applied to
+    a1, ..., an in turn. Each application raises a frame's offset by one,
+    so after i arguments it is i, and a finished argument frame's offset is
+    its argument count."""
+    acc, args, i = [0, 1], bt.spine(e)[1], 0
     stack = []
     while True:
         if i < len(args):
@@ -166,32 +216,32 @@ def _fold(e: bt.BTerm) -> list[list[int]]:
             i += 1
             if isinstance(a, bt.App):
                 stack.append((acc, args, i))
-                acc, args, i = [[0, 1]], bt.spine(a)[1], 0
+                acc, args, i = [0, 1], bt.spine(a)[1], 0
             else:
-                _apply_into(acc, _B_RUNS, 1)
+                _apply_into(acc, _B_FLAT, i, i - 1)
         elif stack:
-            value = acc
+            value, vt = acc, i
             acc, args, i = stack.pop()
-            _apply_into(acc, value, 1)
+            _apply_into(acc, value, i - vt, i - 1)
         else:
-            return acc
+            return acc, i
 
 
 def canonicalize(e: bt.BTerm) -> DegreeSeq:
     """Canonical degree sequence of a B-term, by folding its applications."""
-    return DegreeSeq(tuple(map(tuple, _fold(e))))
+    return DegreeSeq(_runs(*_fold(e)))
 
 
 def equivalent_bterms(e1: bt.BTerm, e2: bt.BTerm) -> bool:
     """Beta-eta equivalence via canonical forms."""
-    return _fold(e1) == _fold(e2)
+    return LazyRuns(*_fold(e1)) == LazyRuns(*_fold(e2))
 
 
 def monomial_degree(e: bt.BTerm) -> int | None:
     """Degree n if e is equivalent to B^n B, else None."""
-    runs = _fold(e)
-    if len(runs) == 1 and runs[0][1] == 1:
-        return runs[0][0]
+    flat, t = _fold(e)
+    if len(flat) == 2 and flat[1] == 1:
+        return flat[0] - t
     return None
 
 

@@ -51,7 +51,7 @@ def _progress_monitor(stop: threading.Event):
             state = holder.get("state")
             if state is None:
                 continue
-            units = sum(m for _, m in state.slow)
+            units = state.slow.units()
             print(
                 f"progress: phase={state.phase} step={state.step} "
                 f"advances={state.advances} seq-units={units}",

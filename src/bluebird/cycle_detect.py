@@ -2,10 +2,12 @@
 
 The orbit of a B-term X is X(1) = X, X(i+1) = X(i) X. find_rho locates the
 least (entry, cycle) with canonical(X(entry)) = canonical(X(entry + cycle)),
-advancing entirely in degree-sequence space via fast_apply.apply_runs. The
-Floyd and Brent searches themselves are cycles.search, and the answer is its
+advancing entirely in degree-sequence space: the orbit states are
+canonical.LazyRuns, and one advance is one merge (see advance). The Floyd
+and Brent searches themselves are cycles.search, and the answer is its
 cycles.RhoResult (re-exported here); this module adds the canonical step and
-the checkpoint file.
+the checkpoint file. Outside the loop (checkpoints, state_hook, iterate) a
+state is a DegreeSeq's run tuple ((degree, mult), ...).
 
 Long searches can write periodic checkpoints and resume after a hard kill.
 A checkpoint is ten lines of text:
@@ -39,14 +41,14 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 from typing import Callable, Iterator, Union
 
 from . import bterm as bt
 from . import cycles
-from .canonical import DegreeSeq, Runs, canonicalize, parse_seq
+from .canonical import DegreeSeq, LazyRuns, _apply_into, canonicalize, parse_seq
 from .cycles import RhoResult, SearchState
 from .errors import CheckpointIO, CycleNotFound, FormatVersionMismatch
-from .fast_apply import apply_runs, raise_runs
 
 FORMAT_LINE = "rho-checkpoint v1"
 ENGINE_NAME = "canonical"
@@ -54,12 +56,28 @@ ENGINE_NAME = "canonical"
 TermLike = Union[bt.BTerm, str]
 
 
+def advance(x: LazyRuns, state: LazyRuns) -> LazyRuns:
+    """The orbit step: canonical(X(i) X) from state = canonical(X(i)) and
+    x = canonical(X), as a copy of state's runs with x's merged in."""
+    flat = state.flat[:]
+    t = state.t
+    _apply_into(flat, x.flat, t + 1 - x.t, t)
+    return LazyRuns(flat, t + 1)
+
+
+def _as_runs(st: SearchState) -> SearchState:
+    """A copy of st with run tuples for its orbit states."""
+    return SearchState(st.term_text, st.algorithm, st.phase, st.step, st.m, st.candidate_c,
+                       st.slow.runs(), st.fast.runs(), st.base.runs(), st.advances)
+
+
 def _opt(v: int | None) -> str:
     return "-" if v is None else str(v)
 
 
 def save_checkpoint(state: SearchState, path: str) -> None:
-    """Atomically write the ten-line checkpoint for state."""
+    """Atomically write the ten-line checkpoint for state, whose slow and
+    fast are run tuples."""
     text = "\n".join(
         [
             FORMAT_LINE,
@@ -102,7 +120,8 @@ def _opt_int(text: str, key: str, path: str) -> int | None:
 
 
 def load_checkpoint(path: str) -> SearchState:
-    """Read a checkpoint back into a SearchState, rederiving the base runs."""
+    """Read a checkpoint back into a SearchState of run tuples, rederiving
+    the base runs."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -180,8 +199,10 @@ def find_rho(
     file is deleted once the search finishes. With resume=True the search
     continues from checkpoint_path instead of starting over; the term must
     match and the checkpoint's algorithm wins. state_hook is called after
-    every completed iteration (slow for big searches, meant for tests);
-    on_start receives the live SearchState once, before the loop.
+    every completed iteration with a copy of the state whose slow and fast
+    are run tuples (slow for big searches, meant for tests); on_start
+    receives the live SearchState, whose slow and fast are LazyRuns, once,
+    before the loop.
     """
     if isinstance(x, str):
         x = bt.parse(x)
@@ -189,10 +210,8 @@ def find_rho(
     base = canonicalize(x).runs
     if algorithm not in cycles.ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    rbase = raise_runs(base)
-
-    def advance(runs: Runs) -> Runs:
-        return apply_runs(runs, rbase)
+    first = LazyRuns.of(base)
+    f = partial(advance, first)
 
     if resume:
         if checkpoint_path is None:
@@ -203,28 +222,31 @@ def find_rho(
                 f"checkpoint {checkpoint_path!r} is for term {st.term_text!r}, "
                 f"which does not match {term_text!r}"
             )
+        st.slow, st.fast, st.base = LazyRuns.of(st.slow), LazyRuns.of(st.fast), first
     else:
-        st = cycles.start(base, advance, algorithm, term_text)
+        st = cycles.start(first, f, algorithm, term_text)
     if on_start is not None:
         on_start(st)
     saved = [st.advances, time.monotonic()]  # advances and time of the last save
 
     def tick(st: SearchState) -> None:
+        plain = None
         if checkpoint_path is not None:
             if (st.advances - saved[0] >= checkpoint_interval
                     or time.monotonic() - saved[1] >= checkpoint_seconds):
-                save_checkpoint(st, checkpoint_path)
+                plain = _as_runs(st)
+                save_checkpoint(plain, checkpoint_path)
                 saved[:] = st.advances, time.monotonic()
         if state_hook is not None:
-            state_hook(st)
+            state_hook(plain or _as_runs(st))
 
     ticking = checkpoint_path is not None or state_hook is not None
     try:
-        result = cycles.search(st, advance, max_steps, tick if ticking else None)
+        result = cycles.search(st, f, max_steps, tick if ticking else None)
     except (CycleNotFound, KeyboardInterrupt):
         # the core writes st only between advances, so st is consistent
         if checkpoint_path is not None:
-            save_checkpoint(st, checkpoint_path)
+            save_checkpoint(_as_runs(st), checkpoint_path)
         raise
     if checkpoint_path is not None:
         try:
@@ -242,9 +264,9 @@ def iterate(x: TermLike, count: int) -> Iterator[DegreeSeq]:
         return
     if isinstance(x, str):
         x = bt.parse(x)
-    cur = canonicalize(x).runs
-    rbase = raise_runs(cur)
-    yield DegreeSeq(cur)
+    seq = canonicalize(x)
+    first = cur = LazyRuns.of(seq.runs)
+    yield seq
     for _ in range(count - 1):
-        cur = apply_runs(cur, rbase)
-        yield DegreeSeq(cur)
+        cur = advance(first, cur)
+        yield DegreeSeq(cur.runs())

@@ -8,9 +8,9 @@ B. This is what lets cycle searches run millions of self-applications per
 minute while the lambda oracle would drown in beta steps.
 
 The kernel lives next to DegreeSeq in canonical, where canonicalize folds
-whole terms through it. apply_runs and raise_runs work on raw run tuples
-((degree, mult), ...) and are the hot path; apply_poly validates and is the
-public face.
+whole terms through it and the orbit search runs it on LazyRuns, whose lazy
+degree offset does the lowering. apply_runs and raise_runs work on raw run
+tuples ((degree, mult), ...); apply_poly validates and is the public face.
 """
 
 from __future__ import annotations

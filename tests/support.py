@@ -7,9 +7,8 @@ from hypothesis import strategies as hs
 
 from bluebird import lambda_oracle as lo
 from bluebird.bterm import App, B, BTerm
-from bluebird.canonical import DegreeSeq, canonicalize
+from bluebird.canonical import DegreeSeq, Runs, canonicalize, raise_runs
 from bluebird.errors import StepBudgetExceeded
-from bluebird.fast_apply import apply_runs, raise_runs
 
 
 @lru_cache(maxsize=None)
@@ -53,6 +52,38 @@ def bterm_strategy(max_leaves: int = 9):
                         max_leaves=max_leaves)
 
 
+def eager_apply_runs(runs: Runs, raised_base: Runs) -> Runs:
+    """canonical(X Y) from runs = canonical(X) and raised_base =
+    raise_runs(canonical(Y)), by the eager kernel that the lazy-offset one
+    replaced: merge each run from the right by the swap law, drop the tail
+    zero run, then lower every degree by one. The package never imports it.
+    """
+    acc = [[d, m] for d, m in runs]
+    for d, m in raised_base:
+        i = len(acc)
+        while i > 0 and acc[i - 1][0] < d:
+            d += acc[i - 1][1]
+            i -= 1
+        if i > 0 and acc[i - 1][0] == d:
+            acc[i - 1][1] += m
+        else:
+            acc.insert(i, [d, m])
+    if acc[-1][0] == 0:
+        acc.pop()
+    for run in acc:
+        run[0] -= 1
+    return tuple(map(tuple, acc))
+
+
+def eager_orbit(base: Runs, count: int) -> list[Runs]:
+    """[None, X(1), ..., X(count)] as run tuples, by eager_apply_runs, so
+    that index i holds X(i)."""
+    out, rbase = [None, base], raise_runs(base)
+    while len(out) <= count:
+        out.append(eager_apply_runs(out[-1], rbase))
+    return out
+
+
 def brute_rho(x: BTerm, limit: int) -> tuple[int, int]:
     """First-repeat search over the canonical forms of X^(1), X^(2), ...
 
@@ -67,7 +98,7 @@ def brute_rho(x: BTerm, limit: int) -> tuple[int, int]:
         if cur in seen:
             return seen[cur], i - seen[cur]
         seen[cur] = i
-        cur = apply_runs(cur, raise_runs(base))
+        cur = eager_apply_runs(cur, raise_runs(base))
         i += 1
     raise AssertionError(f"no repeat within {limit} steps")
 

@@ -68,6 +68,27 @@ def test_kernel_and_checkpoint_file(tmp_path):
     assert (back.slow, back.fast, back.step) == (st.slow, st.fast, st.step)
 
 
+def test_hook_and_checkpoint_hand_out_plain_runs(tmp_path):
+    # the traced orbit-b4 probe feeds the states that state_hook and
+    # load_checkpoint hand out to fast_apply.apply_runs, and rebuilds a
+    # SearchState from them for save_checkpoint
+    fa, cd = bb.fast_apply, bb.cycle_detect
+    rbase = fa.raise_runs(bb.canonicalize(bb.parse("B^2 B")).runs)
+    path = str(tmp_path / "ck")
+    hooked = []
+    with pytest.raises(bb.CycleNotFound):
+        bb.find_rho("B^2 B", max_steps=50, checkpoint_path=path, state_hook=hooked.append)
+    back = cd.load_checkpoint(path)
+    for st in hooked + [back]:
+        for runs in (st.slow, st.fast, st.base):
+            assert type(runs) is tuple
+            assert all(type(run) is tuple and len(run) == 2 for run in runs)
+            assert bb.DegreeSeq(runs).runs == runs
+    assert (back.slow, back.fast, back.step) == (hooked[-1].slow, hooked[-1].fast,
+                                                hooked[-1].step)
+    assert all(b.fast == fa.apply_runs(a.fast, rbase) for a, b in zip(hooked, hooked[1:]))
+
+
 def test_search_core_entry_points():
     def f(x):
         return (x * x + 1) % 255

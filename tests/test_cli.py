@@ -15,7 +15,7 @@ from bluebird import bterm as bt
 from bluebird import cli, cycle_detect
 from bluebird.antirho import example_antirho_term
 from bluebird.cli import main
-from bluebird.fast_apply import apply_runs
+from bluebird.cycle_detect import advance
 
 
 def run(capsys, *argv):
@@ -107,13 +107,17 @@ class TestRho:
     def test_progress_reports_to_stderr(self, capsys, monkeypatch):
         # at 1 ms or more per advance the search outlives the first report,
         # which comes after 1 s, on any machine
-        def slow(runs, rbase):
-            time.sleep(0.001)
-            return apply_runs(runs, rbase)
+        calls = [0]
 
-        monkeypatch.setattr(cycle_detect, "apply_runs", slow)
+        def slow(x, state):
+            calls[0] += 1
+            time.sleep(0.001)
+            return advance(x, state)
+
+        monkeypatch.setattr(cycle_detect, "advance", slow)
         code, out, err = run(capsys, "rho", "--progress", "--max-steps", "2000", "B^4 B")
         assert (code, out) == (3, "")
+        assert calls[0] == 2000
         reports = [l for l in err.splitlines() if l.startswith("progress: ")]
         others = [l for l in err.splitlines() if not l.startswith("progress: ")]
         assert others == ["error: no cycle found within 2000 steps"]
@@ -125,16 +129,17 @@ class TestRho:
     def test_interrupt_saves_checkpoint_and_exits_130(self, capsys, monkeypatch, tmp_path):
         calls = [0]
 
-        def interrupted(runs, rbase):
+        def interrupted(x, state):
             calls[0] += 1
             if calls[0] == 500:
                 raise KeyboardInterrupt
-            return apply_runs(runs, rbase)
+            return advance(x, state)
 
-        monkeypatch.setattr(cycle_detect, "apply_runs", interrupted)
+        monkeypatch.setattr(cycle_detect, "advance", interrupted)
         path = str(tmp_path / "ck")
         code, out, err = run(capsys, "rho", "--checkpoint", path, "B^2 B")
         assert (code, out, err) == (130, "", "error: interrupted\n")
+        assert calls[0] == 500
         monkeypatch.undo()
         code, out, err = run(capsys, "rho", "--checkpoint", path, "--resume", "B^2 B")
         assert (code, out, err) == (0, "rho = (258, 36)\n", "")

@@ -1,24 +1,27 @@
 """Cycle detection on canonical forms: values, checkpointing, resume."""
 
 import os
-from functools import lru_cache
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bluebird import bterm as bt
 from bluebird import cycle_detect
+from bluebird.canonical import DegreeSeq, LazyRuns, seq_to_bterm
 from bluebird.cycle_detect import (
     RhoResult,
     SearchState,
+    advance,
     find_rho,
     iterate,
     load_checkpoint,
     save_checkpoint,
 )
 from bluebird.errors import CheckpointIO, CycleNotFound, FormatVersionMismatch
-from bluebird.fast_apply import apply_runs
 
-from .support import brute_rho
+from .support import brute_rho, eager_orbit
 
 
 class Kill(Exception):
@@ -82,6 +85,61 @@ def test_iterate_matches_flat_powers():
 def test_iterate_empty_for_nonpositive_count():
     assert list(iterate("B", 0)) == []
     assert list(iterate("B", -3)) == []
+
+
+def _pointer_indices(st: SearchState) -> tuple[int, int]:
+    """(i, j) with slow = X(i) and fast = X(j), by the search invariants."""
+    if st.algorithm == "brent":
+        if st.phase == 1:
+            return 1 << (st.step.bit_length() - 1), 1 + st.step
+        return st.step, st.step + st.candidate_c
+    if st.phase == 1:
+        return st.step, 2 * st.step
+    if st.phase == 2:
+        return st.step, st.m + st.step
+    return st.m, st.m + st.step
+
+
+_RUNS = hs.dictionaries(hs.integers(0, 6), hs.integers(1, 3), min_size=1, max_size=4).map(
+    lambda runs: tuple(sorted(runs.items(), reverse=True)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_RUNS, hs.sampled_from(["brent", "floyd"]), hs.integers(1, 150), hs.integers(1, 150))
+def test_lazy_states_match_the_eager_kernel(runs, algorithm, stop, more):
+    # the lazy-offset walk, a budget stop and its resume must hand out the
+    # same run tuples as the eager reference kernel
+    x = seq_to_bterm(DegreeSeq(runs))
+    steps = stop + more
+    orbit = eager_orbit(runs, 2 * steps + 2)
+    assert [s.runs for s in iterate(x, steps)] == orbit[1:steps + 1]
+
+    # equality across offsets: states of one walk, and fresh ones at offset 0
+    first = lazy = LazyRuns.of(runs)
+    walk = [None, lazy]
+    for _ in range(steps - 1):
+        lazy = advance(first, lazy)
+        walk.append(lazy)
+    assert [s.units() for s in walk[1:]] == [len(DegreeSeq(s)) for s in orbit[1:steps + 1]]
+    for i in range(1, steps + 1):
+        fresh = LazyRuns.of(orbit[i])
+        for j in range(i, steps + 1):
+            assert (walk[i] == walk[j]) == (orbit[i] == orbit[j])
+            assert (fresh == walk[j]) == (orbit[i] == orbit[j])
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ck")
+        for budget, resume in ((stop, False), (more, True)):
+            try:
+                r = find_rho(x, algorithm=algorithm, max_steps=budget,
+                             checkpoint_path=path, resume=resume)
+            except CycleNotFound:
+                st = load_checkpoint(path)
+                i, j = _pointer_indices(st)
+                assert (st.slow, st.fast) == (orbit[i], orbit[j])
+                continue
+            assert tuple(r) == brute_rho(x, limit=len(orbit))
+            break
 
 
 def test_rejects_unknown_algorithm():
@@ -251,42 +309,54 @@ class TestKillResume:
     def test_budget_stop_at_every_advance_resumes(self, tmp_path, monkeypatch, algorithm):
         # B^2 B takes 1,097 Brent and 1,413 Floyd advances, so the budgets
         # stop the search in every phase, at every transition and between
-        # the advances of one iteration. Its orbit has only 294 distinct
-        # states, so a memoized kernel keeps the 2.5M advances cheap.
-        monkeypatch.setattr(cycle_detect, "apply_runs", lru_cache(None)(apply_runs))
+        # the advances of one iteration. The counting step checks that every
+        # advance the searches report went through cycle_detect.advance.
+        calls, states = [0], []
+
+        def counted(x, state):
+            calls[0] += 1
+            return advance(x, state)
+
+        monkeypatch.setattr(cycle_detect, "advance", counted)
         path = str(tmp_path / "ck")
         for budget in range(2, 1101):
             try:
                 r = find_rho("B^2 B", algorithm=algorithm, max_steps=budget,
-                             checkpoint_path=path)
+                             checkpoint_path=path, on_start=states.append)
             except CycleNotFound:
-                r = find_rho("B^2 B", max_steps=2000, checkpoint_path=path, resume=True)
+                r = find_rho("B^2 B", max_steps=2000, checkpoint_path=path, resume=True,
+                             on_start=states.append)
             assert (budget, tuple(r)) == (budget, (258, 36))
+        # a resumed search redoes no advance, so each budget costs one search
+        total = {"brent": 1097, "floyd": 1413}[algorithm]
+        assert calls[0] == sum(st.advances for st in states) == 1099 * total
 
     @pytest.mark.parametrize("algorithm", ["brent", "floyd"])
     def test_interrupt_at_every_advance_resumes(self, tmp_path, monkeypatch, algorithm):
         # Ctrl-C lands inside some advance; the checkpoint it writes must
         # resume to the same answer. Advance 1 is the fresh state, made
         # before the search runs; past 1,097 a Brent search has finished.
-        memo = lru_cache(None)(apply_runs)
         path = str(tmp_path / "ck")
+        interrupts = 0
         for n in range(2, 1101):
             calls = [0]
 
-            def interrupted(runs, rbase):
+            def interrupted(x, state):
                 calls[0] += 1
                 if calls[0] == n:
                     raise KeyboardInterrupt
-                return memo(runs, rbase)
+                return advance(x, state)
 
-            monkeypatch.setattr(cycle_detect, "apply_runs", interrupted)
+            monkeypatch.setattr(cycle_detect, "advance", interrupted)
             try:
                 r = find_rho("B^2 B", algorithm=algorithm, checkpoint_path=path)
             except KeyboardInterrupt:
-                monkeypatch.setattr(cycle_detect, "apply_runs", memo)
+                interrupts += 1
+                monkeypatch.setattr(cycle_detect, "advance", advance)
                 r = find_rho("B^2 B", checkpoint_path=path, resume=True)
             assert (n, tuple(r)) == (n, (258, 36))
             assert not os.path.exists(path)
+        assert interrupts == {"brent": 1096, "floyd": 1099}[algorithm]
 
     def test_success_removes_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck")

@@ -1,12 +1,13 @@
 """Direct application on canonical forms, checked against full canonicalization."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bluebird import bterm as bt
 from bluebird.canonical import canonical_via_lambda, canonicalize, parse_seq, seq_to_bterm
 from bluebird.fast_apply import apply_poly, apply_runs, raise_runs
 
-from .support import bterm_strategy
+from .support import bterm_strategy, eager_apply_runs
 
 
 def S(text):
@@ -54,3 +55,12 @@ def test_apply_matches_lambda_route(x, y):
     a, b = canonical_via_lambda(x), canonical_via_lambda(y)
     term = bt.App(seq_to_bterm(a), seq_to_bterm(b))
     assert apply_poly(a, b) == canonical_via_lambda(term)
+
+
+_RUNS = hs.dictionaries(hs.integers(0, 12), hs.integers(1, 4), min_size=1, max_size=6).map(
+    lambda runs: tuple(sorted(runs.items(), reverse=True)))
+
+
+@given(_RUNS, _RUNS)
+def test_apply_runs_matches_the_eager_kernel(a, b):
+    assert apply_runs(a, raise_runs(b)) == eager_apply_runs(a, raise_runs(b))
