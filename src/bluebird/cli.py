@@ -102,7 +102,6 @@ def cmd_rho(args) -> int:
         try:
             result = find_rho(
                 args.term,
-                algorithm=args.algorithm,
                 max_steps=args.max_steps,
                 checkpoint_path=args.checkpoint,
                 checkpoint_interval=args.checkpoint_interval,
@@ -115,12 +114,9 @@ def cmd_rho(args) -> int:
     elif args.engine == "lambda":
         from .lambda_oracle import rho_lambda
 
-        result = rho_lambda(_lambda_input(args.term), max_steps=args.max_steps,
-                            algorithm=args.algorithm)
+        result = rho_lambda(_lambda_input(args.term), max_steps=args.max_steps)
     else:
-        result = rr.find_rho_restricted(
-            args.term, algorithm=args.algorithm, max_steps=args.max_steps
-        )
+        result = rr.find_rho_restricted(args.term, max_steps=args.max_steps)
     print(f"rho = ({result.entry}, {result.cycle})")
     return 0
 
@@ -193,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("term", help="B-term; with --engine lambda also a combinator name")
     p.add_argument("--engine", choices=("canonical", "lambda", "restricted"),
                    default="canonical")
-    p.add_argument("--algorithm", choices=cycles.ALGORITHMS, default="brent")
     p.add_argument("--max-steps", type=int, default=cycles.MAX_STEPS)
     p.add_argument("--checkpoint", metavar="PATH",
                    help="write periodic checkpoints (canonical engine only)")

@@ -3,11 +3,11 @@
 The orbit of a B-term X is X(1) = X, X(i+1) = X(i) X. find_rho locates the
 least (entry, cycle) with canonical(X(entry)) = canonical(X(entry + cycle)),
 advancing entirely in degree-sequence space: the orbit states are
-canonical.LazyRuns, and one advance is one merge (see advance). The Floyd
-and Brent searches themselves are cycles.search, and the answer is its
-cycles.RhoResult (re-exported here); this module adds the canonical step and
-the checkpoint file. Outside the loop (checkpoints, state_hook, iterate) a
-state is a DegreeSeq's run tuple ((degree, mult), ...).
+canonical.LazyRuns, and one advance is one merge (see advance). The Brent
+search itself is cycles.search, and the answer is its cycles.RhoResult
+(re-exported here); this module adds the canonical step and the checkpoint
+file. Outside the loop (checkpoints, state_hook, iterate) a state is a
+DegreeSeq's run tuple ((degree, mult), ...).
 
 Long searches can write periodic checkpoints and resume after a hard kill.
 A checkpoint is ten lines of text:
@@ -15,23 +15,23 @@ A checkpoint is ten lines of text:
     rho-checkpoint v1
     term: B (B B)
     engine: canonical
-    algorithm: floyd
+    algorithm: brent
     phase: 2
-    step: 18
-    m: 32
-    candidate_c: -
-    slow: 3*1,1*2
-    fast: 5*1,2*2,0*1
+    step: 245
+    m: -
+    candidate_c: 36
+    slow: 15*1,13*1,10*1,7*6,4*2,1*3
+    fast: 15*1,13*1,10*4,7*2,5*1,1*5
 
-step is the per-phase counter. For Floyd, m holds the phase-1 meeting index
-while phases 1-2 run; phase 3 stores the entry found by phase 2 in m and
-moves the meeting index (a multiple of the cycle length) into candidate_c.
-For Brent, m stays "-" and candidate_c holds the cycle length once phase 1
-finds it. slow and fast are run-length encoded degree sequences. Writes are
-atomic (temp file, fsync, rename) and only ever happen at loop boundaries,
-so a checkpoint always describes a consistent search position. A budget
-stop or a KeyboardInterrupt writes a final checkpoint; any other exception
-leaves the last periodic one. The file is removed when a search completes.
+step is the per-phase counter, and candidate_c holds the cycle length once
+phase 1 has found it ("-" before). The algorithm and m lines keep the
+layout of the first release; they always read "brent" and "-", and a file
+from an earlier Floyd search is refused. slow and fast are run-length
+encoded degree sequences. Writes are atomic (temp file, fsync, rename) and
+only ever happen at loop boundaries, so a checkpoint always describes a
+consistent search position. A budget stop or a KeyboardInterrupt writes a
+final checkpoint; any other exception leaves the last periodic one. The
+file is removed when a search completes.
 
 Budgets count advances (one advance = one application of X) and apply per
 run: resuming grants a fresh max_steps.
@@ -140,22 +140,22 @@ def load_checkpoint(path: str) -> SearchState:
     if engine != ENGINE_NAME:
         raise CheckpointIO(f"checkpoint {path!r} is for engine {engine!r}, not {ENGINE_NAME!r}")
     algorithm = _field(lines, 3, "algorithm", path)
-    if algorithm not in cycles.ALGORITHMS:
+    if algorithm == "floyd":
+        raise CheckpointIO(f"checkpoint {path!r} was written by a Floyd search; Floyd "
+                           "searches are no longer run, so the search must restart")
+    if algorithm != "brent":
         raise CheckpointIO(f"checkpoint {path!r}: unknown algorithm {algorithm!r}")
     phase = _opt_int(_field(lines, 4, "phase", path), "phase", path)
     step = _opt_int(_field(lines, 5, "step", path), "step", path)
-    if phase not in (1, 2, 3) or step is None or step < 1:
+    if phase not in (1, 2) or step is None or step < 1:
         raise CheckpointIO(f"checkpoint {path!r}: bad phase/step")
-    m = _opt_int(_field(lines, 6, "m", path), "m", path)
+    if _field(lines, 6, "m", path) != "-":
+        raise CheckpointIO(f"checkpoint {path!r}: m must be '-'")
     candidate_c = _opt_int(_field(lines, 7, "candidate_c", path), "candidate_c", path)
-    if any(v is not None and v < 1 for v in (m, candidate_c)):
-        raise CheckpointIO(f"checkpoint {path!r}: m and candidate_c must be >= 1")
-    if algorithm == "brent" and phase == 3:
-        raise CheckpointIO(f"checkpoint {path!r}: brent searches have no phase 3")
-    if algorithm == "brent" and phase == 2 and candidate_c is None:
-        raise CheckpointIO(f"checkpoint {path!r}: brent phase 2 requires candidate_c")
-    if algorithm == "floyd" and phase >= 2 and m is None:
-        raise CheckpointIO(f"checkpoint {path!r}: floyd phase {phase} requires m")
+    if phase == 1 and candidate_c is not None:
+        raise CheckpointIO(f"checkpoint {path!r}: phase 1 has no candidate_c yet")
+    if phase == 2 and (candidate_c is None or candidate_c < 1):
+        raise CheckpointIO(f"checkpoint {path!r}: phase 2 candidate_c must be >= 1")
     try:
         slow = parse_seq(_field(lines, 8, "slow", path)).runs
         fast = parse_seq(_field(lines, 9, "fast", path)).runs
@@ -167,7 +167,7 @@ def load_checkpoint(path: str) -> SearchState:
         algorithm=algorithm,
         phase=phase,
         step=step,
-        m=m,
+        m=None,
         candidate_c=candidate_c,
         slow=slow,
         fast=fast,
@@ -177,7 +177,6 @@ def load_checkpoint(path: str) -> SearchState:
 
 def find_rho(
     x: TermLike,
-    algorithm: str = "brent",
     max_steps: int = cycles.MAX_STEPS,
     checkpoint_path: str | None = None,
     checkpoint_interval: int = 10**7,
@@ -188,28 +187,24 @@ def find_rho(
 ) -> RhoResult:
     """Find the least (entry, cycle) of the self-application orbit of x.
 
-    x may be a BTerm or source text. algorithm is "brent" (default) or
-    "floyd". Raises CycleNotFound rather than make more than max_steps
-    advances in this run. When checkpoint_path is set, that stop and a
-    KeyboardInterrupt write a final checkpoint before they propagate;
-    resuming from it continues the same search.
+    x may be a BTerm or source text. Raises CycleNotFound rather than make
+    more than max_steps advances in this run. When checkpoint_path is set,
+    that stop and a KeyboardInterrupt write a final checkpoint before they
+    propagate; resuming from it continues the same search.
 
     With checkpoint_path, progress is saved every checkpoint_interval
     advances or checkpoint_seconds seconds, whichever comes first, and the
     file is deleted once the search finishes. With resume=True the search
     continues from checkpoint_path instead of starting over; the term must
-    match and the checkpoint's algorithm wins. state_hook is called after
-    every completed iteration with a copy of the state whose slow and fast
-    are run tuples (slow for big searches, meant for tests); on_start
-    receives the live SearchState, whose slow and fast are LazyRuns, once,
-    before the loop.
+    match. state_hook is called after every completed iteration with a copy
+    of the state whose slow and fast are run tuples (slow for big searches,
+    meant for tests); on_start receives the live SearchState, whose slow and
+    fast are LazyRuns, once, before the loop.
     """
     if isinstance(x, str):
         x = bt.parse(x)
     term_text = bt.format_bterm(x)
     base = canonicalize(x).runs
-    if algorithm not in cycles.ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     first = LazyRuns.of(base)
     f = partial(advance, first)
 
@@ -224,7 +219,7 @@ def find_rho(
             )
         st.slow, st.fast, st.base = LazyRuns.of(st.slow), LazyRuns.of(st.fast), first
     else:
-        st = cycles.start(first, f, algorithm, term_text)
+        st = cycles.start(first, f, term_text)
     if on_start is not None:
         on_start(st)
     saved = [st.advances, time.monotonic()]  # advances and time of the last save

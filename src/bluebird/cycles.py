@@ -1,4 +1,4 @@
-"""The one orbit-search core: resumable Floyd and Brent cycle detection.
+"""The one orbit-search core: resumable Brent cycle detection.
 
 Every engine walks an orbit x(1) = first, x(i + 1) = f(x(i)) and asks for
 (entry, cycle): the least entry with x(entry) = x(entry + cycle) and the
@@ -6,22 +6,18 @@ least such positive cycle. States must support ==; f must be pure.
 
 A search is a SearchState plus an advance function. start builds a fresh
 state (one advance), search runs it to the answer, a RhoResult, from
-wherever it stands. Both algorithms live only here:
-
-floyd walks three phases. Phase 1 holds slow at x(i) and fast at x(2i)
-until they meet at index m; phase 2 restarts slow from x(1) against
-fast = x(m+1) and walks both in lockstep to the entry; phase 3 anchors at
-the entry and walks a single pointer to measure the cycle (at most m more
-steps).
-
-brent teleports an anchor at power-of-two indices, which finds the cycle
-length first and needs no doubled pointer; phase 2 walks two pointers the
-cycle length apart to the entry. It usually does fewer advances.
+wherever it stands. The search is Brent's (BIT 20, 1980): phase 1
+teleports an anchor at power-of-two indices, which finds the cycle length
+without a doubled pointer; phase 2 walks two pointers the cycle length
+apart from x(1) to the entry.
 
 Inside the loop the pointers live in locals, and the state is written only
 after every advance of an iteration has succeeded. A budget stop, or an
 exception from f or from tick, therefore always leaves a state that a later
 search call resumes correctly. Budgets count advances, i.e. calls of f.
+
+floyd_rho is a plain tortoise and hare that shares no code with search; it
+is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from .errors import CycleNotFound
 S = TypeVar("S")
 
 MAX_STEPS = 10**10
-ALGORITHMS = ("brent", "floyd")
 
 
 class RhoResult(NamedTuple):
@@ -49,12 +44,14 @@ class RhoResult(NamedTuple):
 class SearchState:
     """Mutable position of a running search.
 
-    phase and step place the search inside its algorithm; m and
-    candidate_c hold what earlier phases found (see cycle_detect for the
-    checkpoint layout that mirrors these fields). base is x(1), term_text
-    names the orbit for checkpoints, and advances counts the applications
-    made since the state was built or loaded (monotone, safe to read from a
-    monitor thread).
+    phase (1 or 2) and step place the search inside Brent's algorithm;
+    candidate_c holds the cycle length once phase 1 has found it (see
+    cycle_detect for the checkpoint layout that mirrors these fields).
+    algorithm and m are always "brent" and None: they remain because the
+    v1 checkpoint file has a line for each and callers build states by
+    keyword. base is x(1), term_text names the orbit for checkpoints, and
+    advances counts the applications made since the state was built or
+    loaded (monotone, safe to read from a monitor thread).
     """
 
     term_text: str
@@ -69,12 +66,9 @@ class SearchState:
     advances: int = 0
 
 
-def start(first: S, f: Callable[[S], S], algorithm: str = "brent",
-          term_text: str = "") -> SearchState:
+def start(first: S, f: Callable[[S], S], term_text: str = "") -> SearchState:
     """A fresh search over the orbit of first; costs one advance."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return SearchState(term_text, algorithm, 1, 1, None, None, first, f(first), first, 1)
+    return SearchState(term_text, "brent", 1, 1, None, None, first, f(first), first, 1)
 
 
 def search(
@@ -83,37 +77,15 @@ def search(
     max_steps: int = MAX_STEPS,
     tick: Callable[[SearchState], None] | None = None,
 ) -> RhoResult:
-    """Run st's algorithm to the end; returns its (entry, cycle).
+    """Run st to the end; returns its (entry, cycle).
 
     Raises CycleNotFound(max_steps) instead of letting st.advances pass
     max_steps. tick is called with st after every completed iteration.
     """
-    run = _floyd if st.algorithm == "floyd" else _brent
-    return run(st, f, max_steps, tick)
-
-
-def _floyd(st, f, max_steps, tick):
-    if st.phase == 1:
-        # invariant: slow = x(step), fast = x(2 step)
-        _walk(st, f, max_steps, tick, 1, 2)
-        # step is a multiple of the cycle length, so the entry is the first
-        # meeting of x(1), x(2), ... with x(step + 1), x(step + 2), ...
-        _next_phase(st, f, max_steps, tick, st.base, st.slow, 1, st.step, None)
-    if st.phase == 2:
-        # invariant: slow = x(step), fast = x(m + step)
-        _walk(st, f, max_steps, tick, 1, 1)
-        # anchor at the entry and measure the cycle with fast alone
-        _next_phase(st, f, max_steps, tick, st.slow, st.slow, 1, st.step, st.m)
-    # invariant: slow = x(entry) with entry in m, fast = x(entry + step)
-    _walk(st, f, max_steps, tick, 0, 1)
-    return RhoResult(st.m, st.step)
-
-
-def _brent(st, f, max_steps, tick):
+    slow, fast, step, adv = st.slow, st.fast, st.step, st.advances
     if st.phase == 1:
         # invariant: fast = x(1 + step); slow anchors the latest power-of-two
         # index, and lam counts fast's lead over the anchor
-        slow, fast, step, adv = st.slow, st.fast, st.step, st.advances
         power = 1 << (step.bit_length() - 1)
         lam = step - power + 1
         while slow != fast:
@@ -131,51 +103,57 @@ def _brent(st, f, max_steps, tick):
             if tick is not None:
                 tick(st)
         # lam is the exact cycle length; rebuild fast = x(1 + lam) and scan
-        # for the entry in lockstep
-        _next_phase(st, f, max_steps, tick, st.base, st.base, lam, None, lam)
-    # invariant: slow = x(step), fast = x(step + candidate_c)
-    _walk(st, f, max_steps, tick, 1, 1)
-    return RhoResult(st.step, st.candidate_c)
-
-
-def _walk(st, f, max_steps, tick, slow_moves, fast_moves):
-    """Move slow and fast by their moves per step until they meet."""
-    slow, fast, step, adv = st.slow, st.fast, st.step, st.advances
-    cost = slow_moves + fast_moves
-    while slow != fast:
-        if adv + cost > max_steps:
+        # for the entry in lockstep. One assignment enters phase 2, so an
+        # interrupt sees either phase whole.
+        if adv + lam > max_steps:
             raise CycleNotFound(max_steps)
-        if slow_moves:
-            slow = f(slow)
-        fast = f(fast)
-        if fast_moves == 2:
+        slow = fast = st.base
+        for _ in range(lam):
             fast = f(fast)
+        step, adv = 1, adv + lam
+        st.phase, st.candidate_c, st.slow, st.fast, st.step, st.advances = (
+            2, lam, slow, fast, step, adv)
+        if tick is not None:
+            tick(st)
+    # invariant: slow = x(step), fast = x(step + candidate_c)
+    while slow != fast:
+        if adv + 2 > max_steps:
+            raise CycleNotFound(max_steps)
+        slow = f(slow)
+        fast = f(fast)
         step += 1
-        adv += cost
+        adv += 2
         st.slow, st.fast, st.step, st.advances = slow, fast, step, adv
         if tick is not None:
             tick(st)
-
-
-def _next_phase(st, f, max_steps, tick, slow, fast, moves, m, candidate_c):
-    """Enter the next phase at step 1 with fast moved moves times, storing
-    what the finished phase learned in m and candidate_c. One assignment
-    writes the whole state, so an interrupt sees either phase whole."""
-    if st.advances + moves > max_steps:
-        raise CycleNotFound(max_steps)
-    for _ in range(moves):
-        fast = f(fast)
-    st.phase, st.m, st.candidate_c, st.slow, st.fast, st.step, st.advances = (
-        st.phase + 1, m, candidate_c, slow, fast, 1, st.advances + moves)
-    if tick is not None:
-        tick(st)
-
-
-def floyd_rho(first: S, f: Callable[[S], S], max_steps: int = MAX_STEPS) -> RhoResult:
-    """Tortoise-and-hare search; returns (entry, cycle)."""
-    return search(start(first, f, "floyd"), f, max_steps)
+    return RhoResult(step, st.candidate_c)
 
 
 def brent_rho(first: S, f: Callable[[S], S], max_steps: int = MAX_STEPS) -> RhoResult:
     """Brent's teleporting-anchor search; returns (entry, cycle)."""
-    return search(start(first, f, "brent"), f, max_steps)
+    return search(start(first, f), f, max_steps)
+
+
+def floyd_rho(first: S, f: Callable[[S], S], max_steps: int = MAX_STEPS) -> RhoResult:
+    """Floyd's tortoise and hare, plain and not resumable; returns (entry,
+    cycle) after at most max_steps calls of f, else raises CycleNotFound."""
+    left = [max_steps]
+
+    def g(x: S) -> S:
+        if left[0] == 0:
+            raise CycleNotFound(max_steps)
+        left[0] -= 1
+        return f(x)
+
+    slow, fast = first, g(first)  # x(m) and x(2m), from m = 1
+    while slow != fast:
+        slow, fast = g(slow), g(g(fast))
+    # m is a multiple of the cycle length: the entry is the first i with
+    # x(i) = x(i + m), and the cycle is the first return to x(entry)
+    slow, fast, entry = first, g(slow), 1
+    while slow != fast:
+        slow, fast, entry = g(slow), g(fast), entry + 1
+    fast, cycle = g(slow), 1
+    while slow != fast:
+        fast, cycle = g(fast), cycle + 1
+    return RhoResult(entry, cycle)

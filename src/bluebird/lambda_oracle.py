@@ -247,23 +247,22 @@ def lambda_to_tree(t: LambdaTerm) -> BinTree:
     return _decode(body, lambda i: LEAF, Node)
 
 
-def rho_lambda(t: LambdaTerm, max_steps: int = cycles.MAX_STEPS,
-               algorithm: str = "brent") -> cycles.RhoResult:
+def rho_lambda(t: LambdaTerm, max_steps: int = cycles.MAX_STEPS) -> cycles.RhoResult:
     """Cycle of the flat self-application sequence of t under beta-eta equality.
 
     Returns the search core's cycles.RhoResult; the core only compares
     states, so the answer rests on this module's normalizer alone. States
     are normal forms as prefix strings; each advance is one application
     followed by normalization, so this is the slow reference engine.
-    algorithm is "brent" (default) or "floyd". Raises CycleNotFound past
-    the horizon, StepBudgetExceeded if a normal form cannot be reached.
+    Raises CycleNotFound past the horizon, StepBudgetExceeded if a normal
+    form cannot be reached.
     """
     base = _normal(_encode(t), DEFAULT_BUDGET)
 
     def advance(cur: str) -> str:
         return _normal(_APP + cur + base, DEFAULT_BUDGET)
 
-    return cycles.search(cycles.start(base, advance, algorithm), advance, max_steps)
+    return cycles.brent_rho(base, advance, max_steps)
 
 
 def format_lambda(t: LambdaTerm) -> str:

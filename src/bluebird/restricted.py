@@ -194,7 +194,10 @@ def find_rho_restricted(
 ) -> cycles.RhoResult:
     """Least (entry, cycle) of the self-application orbit of x under the
     restricted rule, comparing normal forms syntactically. max_steps bounds
-    orbit advances, rewrite_budget bounds total contractions."""
+    orbit advances, rewrite_budget bounds total contractions. The search is
+    Brent's; algorithm accepts only "brent"."""
+    if algorithm != "brent":
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     if isinstance(x, str):
         x = parse_rterm(x)
     eng = RestrictedEngine(rewrite_budget)
@@ -203,4 +206,4 @@ def find_rho_restricted(
     def advance(i: int) -> int:
         return eng.normalize(eng.app(i, base))
 
-    return cycles.search(cycles.start(base, advance, algorithm), advance, max_steps)
+    return cycles.brent_rho(base, advance, max_steps)

@@ -5,9 +5,11 @@ from itertools import combinations_with_replacement
 
 from hypothesis import strategies as hs
 
+from bluebird import cycle_detect
 from bluebird import lambda_oracle as lo
-from bluebird.bterm import App, B, BTerm
-from bluebird.canonical import DegreeSeq, Runs, canonicalize, raise_runs
+from bluebird.bterm import App, B, BTerm, parse
+from bluebird.canonical import DegreeSeq, LazyRuns, Runs, canonicalize, raise_runs
+from bluebird.cycles import floyd_rho
 from bluebird.errors import StepBudgetExceeded
 
 
@@ -101,6 +103,14 @@ def brute_rho(x: BTerm, limit: int) -> tuple[int, int]:
         cur = eager_apply_runs(cur, raise_runs(base))
         i += 1
     raise AssertionError(f"no repeat within {limit} steps")
+
+
+def floyd_canonical(text: str) -> tuple[int, int]:
+    """(entry, cycle) of the orbit of the term text by cycles.floyd_rho over
+    cycle_detect.advance: a route to find_rho's answer that shares no code
+    with its Brent search."""
+    first = LazyRuns.of(canonicalize(parse(text)).runs)
+    return tuple(floyd_rho(first, lambda state: cycle_detect.advance(first, state)))
 
 
 def decreasing_seqs(max_entries: int, max_degree: int) -> list[DegreeSeq]:

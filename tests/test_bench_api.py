@@ -96,3 +96,22 @@ def test_search_core_entry_points():
     want = (3, 6)  # from 3: 3, 10, 101, 2, 5, 26, 167, 95, 101, ...
     assert bb.cycles.brent_rho(3, f, 1000) == want
     assert bb.cycles.floyd_rho(3, f, max_steps=1000) == want
+
+
+@pytest.mark.parametrize("text,want,calls", [
+    ("B", (6, 4), 37),
+    ("B^1 B", (32, 20), 201),
+    ("B^2 B", (258, 36), 1413),
+    ("B^3 B", (4240, 5796), 31661),
+])
+def test_floyd_rho_advance_counts(text, want, calls):
+    # the traced lambda-b3 run reports these calls as cycles.floyd_advances
+    first = bb.canonical.LazyRuns.of(bb.canonicalize(bb.parse(text)).runs)
+    n = [0]
+
+    def f(state):
+        n[0] += 1
+        return bb.cycle_detect.advance(first, state)
+
+    assert bb.cycles.floyd_rho(first, f) == want
+    assert n[0] == calls

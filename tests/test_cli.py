@@ -69,10 +69,6 @@ class TestRho:
         code, out, _ = run(capsys, "rho", "B")
         assert (code, out) == (0, "rho = (6, 4)\n")
 
-    def test_floyd_agrees(self, capsys):
-        code, out, _ = run(capsys, "rho", "--algorithm", "floyd", "B^1 B")
-        assert (code, out) == (0, "rho = (32, 20)\n")
-
     def test_lambda_engine_named_combinators(self, capsys):
         for name, want in [("K", "(1, 2)"), ("I", "(1, 1)"), ("T", "(2, 1)")]:
             code, out, _ = run(capsys, "rho", "--engine", "lambda", name)
@@ -171,34 +167,37 @@ class TestRho:
         assert (code, out, err) == (3, "", "error: no cycle found within 1000 steps\n")
         assert cycle_detect.load_checkpoint(str(ck)).step > 1000
 
-    def test_lambda_engine_passes_algorithm(self, capsys, monkeypatch):
-        from bluebird import lambda_oracle as lo
-
-        seen = []
-        real = lo.rho_lambda
-
-        def spy(t, **kw):
-            seen.append(kw["algorithm"])
-            return real(t, **kw)
-
-        monkeypatch.setattr(lo, "rho_lambda", spy)
-        for algorithm in ("floyd", "brent"):
-            code, out, _ = run(capsys, "rho", "--engine", "lambda",
-                               "--algorithm", algorithm, "K")
-            assert (code, out) == (0, "rho = (1, 2)\n")
-        assert seen == ["floyd", "brent"]
-
     @pytest.mark.parametrize("fields", [
         "algorithm: brent\nphase: 2\nstep: 1\nm: -\ncandidate_c: 0",
-        "algorithm: floyd\nphase: 3\nstep: 1\nm: -7\ncandidate_c: 5",
-    ], ids=["brent-c0", "floyd-m-7"])
+        "algorithm: brent\nphase: 2\nstep: 1\nm: -\ncandidate_c: -7",
+    ], ids=["brent-c0", "brent-c-7"])
     def test_impossible_checkpoint_counters_exit_four(self, capsys, tmp_path, fields):
         path = tmp_path / "ck"
         path.write_text("rho-checkpoint v1\nterm: B\nengine: canonical\n"
                         + fields + "\nslow: 0*1\nfast: 0*1\n")
         code, out, err = run(capsys, "rho", "--resume", "--checkpoint", str(path), "B")
         assert (code, out) == (4, "")
-        assert err.endswith("m and candidate_c must be >= 1\n")
+        assert err.endswith("candidate_c must be >= 1\n")
+
+    @pytest.mark.parametrize("fields,reason", [
+        ("algorithm: floyd\nphase: 2\nstep: 1\nm: 32\ncandidate_c: -",
+         "Floyd searches are no longer run, so the search must restart"),
+        ("algorithm: brent\nphase: 1\nstep: 1\nm: 77\ncandidate_c: -", "m must be '-'"),
+        ("algorithm: brent\nphase: 1\nstep: 1\nm: -\ncandidate_c: 9",
+         "phase 1 has no candidate_c"),
+    ], ids=["floyd", "m", "phase1-c"])
+    def test_refused_checkpoint_exit_four(self, capsys, tmp_path, fields, reason):
+        path = tmp_path / "ck"
+        path.write_text("rho-checkpoint v1\nterm: B\nengine: canonical\n"
+                        + fields + "\nslow: 0*1\nfast: 0*1\n")
+        code, out, err = run(capsys, "rho", "--resume", "--checkpoint", str(path), "B")
+        assert (code, out) == (4, "")
+        assert reason in err
+
+    def test_algorithm_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rho", "--algorithm", "brent", "B"])
+        assert exc.value.code == 2
 
     def test_checkpoint_roundtrip_through_cli(self, capsys, tmp_path):
         path = str(tmp_path / "ck")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bluebird import bterm as bt
-from bluebird import cycle_detect
+from bluebird import cycle_detect, lambda_oracle
 from bluebird.canonical import DegreeSeq, LazyRuns, seq_to_bterm
 from bluebird.cycle_detect import (
     RhoResult,
@@ -21,7 +21,7 @@ from bluebird.cycle_detect import (
 )
 from bluebird.errors import CheckpointIO, CycleNotFound, FormatVersionMismatch
 
-from .support import brute_rho, eager_orbit
+from .support import brute_rho, eager_orbit, floyd_canonical
 
 
 class Kill(Exception):
@@ -45,10 +45,9 @@ COMPOSITION_POWERS = {
 }
 
 
-@pytest.mark.parametrize("algorithm", ["brent", "floyd"])
-def test_composition_power_values(algorithm):
+def test_composition_power_values():
     for text, want in COMPOSITION_POWERS.items():
-        assert tuple(find_rho(text, algorithm=algorithm)) == want
+        assert tuple(find_rho(text)) == want
 
 
 def test_values_are_minimal():
@@ -56,7 +55,7 @@ def test_values_are_minimal():
     for text in ("B", "B^1 B", "B^2 B"):
         want = brute_rho(bt.parse(text), limit=400)
         assert tuple(find_rho(text)) == want
-        assert tuple(find_rho(text, algorithm="floyd")) == want
+        assert floyd_canonical(text) == want
 
 
 def test_deep_term_budget_stop_at_default_recursion_limit():
@@ -89,15 +88,9 @@ def test_iterate_empty_for_nonpositive_count():
 
 def _pointer_indices(st: SearchState) -> tuple[int, int]:
     """(i, j) with slow = X(i) and fast = X(j), by the search invariants."""
-    if st.algorithm == "brent":
-        if st.phase == 1:
-            return 1 << (st.step.bit_length() - 1), 1 + st.step
-        return st.step, st.step + st.candidate_c
     if st.phase == 1:
-        return st.step, 2 * st.step
-    if st.phase == 2:
-        return st.step, st.m + st.step
-    return st.m, st.m + st.step
+        return 1 << (st.step.bit_length() - 1), 1 + st.step
+    return st.step, st.step + st.candidate_c
 
 
 _RUNS = hs.dictionaries(hs.integers(0, 6), hs.integers(1, 3), min_size=1, max_size=4).map(
@@ -105,8 +98,8 @@ _RUNS = hs.dictionaries(hs.integers(0, 6), hs.integers(1, 3), min_size=1, max_si
 
 
 @settings(deadline=None, max_examples=60)
-@given(_RUNS, hs.sampled_from(["brent", "floyd"]), hs.integers(1, 150), hs.integers(1, 150))
-def test_lazy_states_match_the_eager_kernel(runs, algorithm, stop, more):
+@given(_RUNS, hs.integers(1, 150), hs.integers(1, 150))
+def test_lazy_states_match_the_eager_kernel(runs, stop, more):
     # the lazy-offset walk, a budget stop and its resume must hand out the
     # same run tuples as the eager reference kernel
     x = seq_to_bterm(DegreeSeq(runs))
@@ -131,8 +124,7 @@ def test_lazy_states_match_the_eager_kernel(runs, algorithm, stop, more):
         path = os.path.join(tmp, "ck")
         for budget, resume in ((stop, False), (more, True)):
             try:
-                r = find_rho(x, algorithm=algorithm, max_steps=budget,
-                             checkpoint_path=path, resume=resume)
+                r = find_rho(x, max_steps=budget, checkpoint_path=path, resume=resume)
             except CycleNotFound:
                 st = load_checkpoint(path)
                 i, j = _pointer_indices(st)
@@ -143,8 +135,10 @@ def test_lazy_states_match_the_eager_kernel(runs, algorithm, stop, more):
 
 
 def test_rejects_unknown_algorithm():
-    with pytest.raises(ValueError):
-        find_rho("B", algorithm="gosper")
+    # the search is Brent's alone, so neither engine takes an algorithm
+    for rho in (find_rho, lambda_oracle.rho_lambda):
+        with pytest.raises(TypeError):
+            rho("B", algorithm="brent")
 
 
 class TestCheckpointFile:
@@ -152,7 +146,7 @@ class TestCheckpointFile:
         path = str(tmp_path / "ck")
         hook = killing_hook(3)
         with pytest.raises(Kill):
-            find_rho("B^1 B", algorithm="brent", checkpoint_path=path,
+            find_rho("B^1 B", checkpoint_path=path,
                      checkpoint_interval=1, checkpoint_seconds=0.0,
                      state_hook=hook)
         lines = open(path).read().splitlines()
@@ -169,17 +163,18 @@ class TestCheckpointFile:
         assert lines[9].startswith("fast: ")
 
     def test_save_load_roundtrip(self, tmp_path):
-        path = str(tmp_path / "ck")
-        hook = killing_hook(25)
-        with pytest.raises(Kill):
-            find_rho("B^2 B", algorithm="floyd", checkpoint_path=path,
-                     checkpoint_interval=1, checkpoint_seconds=0.0,
-                     state_hook=hook)
-        st = load_checkpoint(path)
-        path2 = str(tmp_path / "ck2")
-        save_checkpoint(st, path2)
-        assert open(path).read() == open(path2).read()
-        assert load_checkpoint(path2) == st
+        # one kill in each phase: B^2 B leaves phase 1 after 547 advances
+        for after, phase in ((25, 1), (700, 2)):
+            path = str(tmp_path / "ck")
+            with pytest.raises(Kill):
+                find_rho("B^2 B", checkpoint_path=path, checkpoint_interval=1,
+                         checkpoint_seconds=0.0, state_hook=killing_hook(after))
+            st = load_checkpoint(path)
+            assert st.phase == phase
+            path2 = str(tmp_path / "ck2")
+            save_checkpoint(st, path2)
+            assert open(path).read() == open(path2).read()
+            assert load_checkpoint(path2) == st
 
     def test_load_rejects_other_version(self, tmp_path):
         path = str(tmp_path / "ck")
@@ -212,10 +207,6 @@ class TestCheckpointFile:
             load_checkpoint(junk)
 
     @pytest.mark.parametrize("text", [
-        "algorithm: floyd\nphase: 2\nstep: 13\nm: 288\ncandidate_c: -\n"
-        "slow: 9*1,7*1,5*1,2*3\nfast: 17*1,14*2,12*1,8*4,6*1,4*1,2*1",
-        "algorithm: floyd\nphase: 3\nstep: 15\nm: 258\ncandidate_c: 288\n"
-        "slow: 15*1,13*1,11*1,9*1,6*5,4*1,2*2,0*1\nfast: 15*2,13*1,9*4,6*2,4*1,0*5",
         "algorithm: brent\nphase: 1\nstep: 301\nm: -\ncandidate_c: -\n"
         "slow: 15*1,13*1,11*1,8*4,6*1,4*2,2*1,1*1\nfast: 16*1,13*2,11*1,7*4,5*1,3*2,1*1",
         "algorithm: brent\nphase: 2\nstep: 245\nm: -\ncandidate_c: 36\n"
@@ -228,11 +219,42 @@ class TestCheckpointFile:
             fh.write("rho-checkpoint v1\nterm: B (B B)\nengine: canonical\n" + text + "\n")
         assert tuple(find_rho("B^2 B", checkpoint_path=path, resume=True)) == (258, 36)
 
+    @pytest.mark.parametrize("text,reason", [
+        ("algorithm: floyd\nphase: 2\nstep: 13\nm: 288\ncandidate_c: -\n"
+         "slow: 9*1,7*1,5*1,2*3\nfast: 17*1,14*2,12*1,8*4,6*1,4*1,2*1",
+         "Floyd searches are no longer run"),
+        ("algorithm: floyd\nphase: 3\nstep: 15\nm: 258\ncandidate_c: 288\n"
+         "slow: 15*1,13*1,11*1,9*1,6*5,4*1,2*2,0*1\nfast: 15*2,13*1,9*4,6*2,4*1,0*5",
+         "Floyd searches are no longer run"),
+        ("algorithm: brent\nphase: 1\nstep: 301\nm: 77\ncandidate_c: -\n"
+         "slow: 15*1,13*1,11*1,8*4,6*1,4*2,2*1,1*1\nfast: 16*1,13*2,11*1,7*4,5*1,3*2,1*1",
+         "m must be '-'"),
+        ("algorithm: brent\nphase: 2\nstep: 245\nm: 258\ncandidate_c: 36\n"
+         "slow: 15*1,13*1,10*1,7*6,4*2,1*3\nfast: 15*1,13*1,10*4,7*2,5*1,1*5",
+         "m must be '-'"),
+        ("algorithm: brent\nphase: 1\nstep: 301\nm: -\ncandidate_c: 9\n"
+         "slow: 15*1,13*1,11*1,8*4,6*1,4*2,2*1,1*1\nfast: 16*1,13*2,11*1,7*4,5*1,3*2,1*1",
+         "phase 1 has no candidate_c"),
+        ("algorithm: brent\nphase: 3\nstep: 15\nm: -\ncandidate_c: 36\n"
+         "slow: 15*1,13*1,10*1,7*6,4*2,1*3\nfast: 15*1,13*1,10*4,7*2,5*1,1*5",
+         "bad phase"),
+    ], ids=["floyd-phase2", "floyd-phase3", "brent-phase1-m", "brent-phase2-m",
+            "brent-phase1-c", "brent-phase3"])
+    def test_refuses_files_a_brent_search_never_writes(self, tmp_path, text, reason):
+        # the Floyd files come from the first release; a search must restart
+        path = str(tmp_path / "ck")
+        with open(path, "w") as fh:
+            fh.write("rho-checkpoint v1\nterm: B (B B)\nengine: canonical\n" + text + "\n")
+        with pytest.raises(CheckpointIO, match=reason):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointIO, match=reason):
+            find_rho("B^2 B", checkpoint_path=path, resume=True)
+        assert os.path.exists(path)
+
     @pytest.mark.parametrize("fields", [
         "algorithm: brent\nphase: 2\nstep: 1\nm: -\ncandidate_c: 0",
-        "algorithm: floyd\nphase: 3\nstep: 1\nm: -7\ncandidate_c: 5",
-        "algorithm: floyd\nphase: 2\nstep: 1\nm: 0\ncandidate_c: -",
-    ], ids=["brent-c0", "floyd-m-7", "floyd-m0"])
+        "algorithm: brent\nphase: 2\nstep: 1\nm: -\ncandidate_c: -7",
+    ], ids=["brent-c0", "brent-c-7"])
     def test_load_rejects_impossible_counters(self, tmp_path, fields):
         # otherwise well formed; no search writes these, and resuming one
         # would print an answer such as (1, 0) or a negative entry
@@ -268,14 +290,11 @@ class TestCheckpointFile:
 
 
 class TestKillResume:
-    @pytest.mark.parametrize("algorithm,after", [
-        ("floyd", 1), ("floyd", 40), ("floyd", 250), ("floyd", 560),
-        ("brent", 1), ("brent", 100), ("brent", 400), ("brent", 790),
-    ])
-    def test_kill_points_across_phases(self, tmp_path, algorithm, after):
+    @pytest.mark.parametrize("after", [1, 100, 400, 790])
+    def test_kill_points_across_phases(self, tmp_path, after):
         path = str(tmp_path / "ck")
         with pytest.raises(Kill):
-            find_rho("B^2 B", algorithm=algorithm, checkpoint_path=path,
+            find_rho("B^2 B", checkpoint_path=path,
                      checkpoint_interval=1, checkpoint_seconds=0.0,
                      state_hook=killing_hook(after))
         assert os.path.exists(path)
@@ -286,7 +305,7 @@ class TestKillResume:
     def test_double_kill_then_finish(self, tmp_path):
         path = str(tmp_path / "ck")
         with pytest.raises(Kill):
-            find_rho("B^2 B", algorithm="brent", checkpoint_path=path,
+            find_rho("B^2 B", checkpoint_path=path,
                      checkpoint_interval=1, checkpoint_seconds=0.0,
                      state_hook=killing_hook(50))
         with pytest.raises(Kill):
@@ -299,17 +318,16 @@ class TestKillResume:
     def test_budget_exhaustion_leaves_resumable_state(self, tmp_path):
         path = str(tmp_path / "ck")
         with pytest.raises(CycleNotFound):
-            find_rho("B^2 B", algorithm="brent", max_steps=100,
+            find_rho("B^2 B", max_steps=100,
                      checkpoint_path=path, checkpoint_seconds=0.0)
         assert os.path.exists(path)
         r = find_rho("B^2 B", checkpoint_path=path, resume=True)
         assert tuple(r) == (258, 36)
 
-    @pytest.mark.parametrize("algorithm", ["brent", "floyd"])
-    def test_budget_stop_at_every_advance_resumes(self, tmp_path, monkeypatch, algorithm):
-        # B^2 B takes 1,097 Brent and 1,413 Floyd advances, so the budgets
-        # stop the search in every phase, at every transition and between
-        # the advances of one iteration. The counting step checks that every
+    def test_budget_stop_at_every_advance_resumes(self, tmp_path, monkeypatch):
+        # B^2 B takes 1,097 advances, so the budgets stop the search in
+        # both phases, at every anchor move and at the phase switch, and
+        # between the advances of one phase-2 iteration. The counting step checks that every
         # advance the searches report went through cycle_detect.advance.
         calls, states = [0], []
 
@@ -321,18 +339,16 @@ class TestKillResume:
         path = str(tmp_path / "ck")
         for budget in range(2, 1101):
             try:
-                r = find_rho("B^2 B", algorithm=algorithm, max_steps=budget,
+                r = find_rho("B^2 B", max_steps=budget,
                              checkpoint_path=path, on_start=states.append)
             except CycleNotFound:
                 r = find_rho("B^2 B", max_steps=2000, checkpoint_path=path, resume=True,
                              on_start=states.append)
             assert (budget, tuple(r)) == (budget, (258, 36))
         # a resumed search redoes no advance, so each budget costs one search
-        total = {"brent": 1097, "floyd": 1413}[algorithm]
-        assert calls[0] == sum(st.advances for st in states) == 1099 * total
+        assert calls[0] == sum(st.advances for st in states) == 1099 * 1097
 
-    @pytest.mark.parametrize("algorithm", ["brent", "floyd"])
-    def test_interrupt_at_every_advance_resumes(self, tmp_path, monkeypatch, algorithm):
+    def test_interrupt_at_every_advance_resumes(self, tmp_path, monkeypatch):
         # Ctrl-C lands inside some advance; the checkpoint it writes must
         # resume to the same answer. Advance 1 is the fresh state, made
         # before the search runs; past 1,097 a Brent search has finished.
@@ -349,14 +365,14 @@ class TestKillResume:
 
             monkeypatch.setattr(cycle_detect, "advance", interrupted)
             try:
-                r = find_rho("B^2 B", algorithm=algorithm, checkpoint_path=path)
+                r = find_rho("B^2 B", checkpoint_path=path)
             except KeyboardInterrupt:
                 interrupts += 1
                 monkeypatch.setattr(cycle_detect, "advance", advance)
                 r = find_rho("B^2 B", checkpoint_path=path, resume=True)
             assert (n, tuple(r)) == (n, (258, 36))
             assert not os.path.exists(path)
-        assert interrupts == {"brent": 1096, "floyd": 1099}[algorithm]
+        assert interrupts == 1096
 
     def test_success_removes_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck")

@@ -95,16 +95,6 @@ def test_rho_lambda_small_values():
     assert tuple(lo.rho_lambda(lo.T)) == (2, 1)
 
 
-def test_rho_lambda_algorithms_agree():
-    for t in (lo.I, lo.K, lo.T, lo.bterm_to_lambda(bt.parse("B B"))):
-        assert lo.rho_lambda(t, algorithm="floyd") == lo.rho_lambda(t)
-
-
-def test_rho_lambda_rejects_unknown_algorithm():
-    with pytest.raises(ValueError):
-        lo.rho_lambda(lo.K, algorithm="gosper")
-
-
 def test_budget_cuts_off_divergence():
     omega = Abs(App(Var(0), Var(0)))
     big_omega = App(omega, omega)
