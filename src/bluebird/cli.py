@@ -54,7 +54,7 @@ def _progress_monitor(stop: threading.Event):
             units = state.slow.units()
             print(
                 f"progress: phase={state.phase} step={state.step} "
-                f"advances={state.advances} seq-units={units}",
+                f"advances={state.advances} seq-units={units} stepper={state.stepper}",
                 file=sys.stderr,
                 flush=True,
             )

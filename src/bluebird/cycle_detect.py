@@ -45,7 +45,7 @@ from functools import partial
 from typing import Callable, Iterator, Union
 
 from . import bterm as bt
-from . import cycles
+from . import cycles, walk
 from .canonical import DegreeSeq, LazyRuns, _apply_into, canonicalize, parse_seq
 from .cycles import RhoResult, SearchState
 from .errors import CheckpointIO, CycleNotFound, FormatVersionMismatch
@@ -68,7 +68,8 @@ def advance(x: LazyRuns, state: LazyRuns) -> LazyRuns:
 def _as_runs(st: SearchState) -> SearchState:
     """A copy of st with run tuples for its orbit states."""
     return SearchState(st.term_text, st.algorithm, st.phase, st.step, st.m, st.candidate_c,
-                       st.slow.runs(), st.fast.runs(), st.base.runs(), st.advances)
+                       st.slow.runs(), st.fast.runs(), st.base.runs(), st.advances,
+                       st.stepper)
 
 
 def _opt(v: int | None) -> str:
@@ -196,10 +197,14 @@ def find_rho(
     advances or checkpoint_seconds seconds, whichever comes first, and the
     file is deleted once the search finishes. With resume=True the search
     continues from checkpoint_path instead of starting over; the term must
-    match. state_hook is called after every completed iteration with a copy
-    of the state whose slow and fast are run tuples (slow for big searches,
-    meant for tests); on_start receives the live SearchState, whose slow and
-    fast are LazyRuns, once, before the loop.
+    match.
+
+    The compiled walk (walk.CStepper) makes the advances when it builds and
+    the states fit its integers, else the Python stepper over advance, in
+    chunks of at most checkpoint_interval and 2^20 (about 30 ms compiled).
+    state_hook gets a copy of the state with run tuples for slow and fast
+    after every chunk (every iteration with checkpoint_interval=1; meant for
+    tests); on_start gets the live SearchState once, before the loop.
     """
     if isinstance(x, str):
         x = bt.parse(x)
@@ -220,6 +225,10 @@ def find_rho(
         st.slow, st.fast, st.base = LazyRuns.of(st.slow), LazyRuns.of(st.fast), first
     else:
         st = cycles.start(first, f, term_text)
+    lib = walk.load()
+    fits = lib and walk.fits(st, max_steps)
+    stepper = walk.CStepper(lib, first) if fits else cycles.Stepper(f)
+    st.stepper = stepper.name
     if on_start is not None:
         on_start(st)
     saved = [st.advances, time.monotonic()]  # advances and time of the last save
@@ -235,11 +244,11 @@ def find_rho(
         if state_hook is not None:
             state_hook(plain or _as_runs(st))
 
-    ticking = checkpoint_path is not None or state_hook is not None
     try:
-        result = cycles.search(st, f, max_steps, tick if ticking else None)
+        chunk = min(max(checkpoint_interval, 1), 1 << 20)
+        result = cycles.search(st, stepper, max_steps, tick, chunk)
     except (CycleNotFound, KeyboardInterrupt):
-        # the core writes st only between advances, so st is consistent
+        # the core writes st only between stepper calls, so st is consistent
         if checkpoint_path is not None:
             save_checkpoint(_as_runs(st), checkpoint_path)
         raise

@@ -4,17 +4,19 @@ Every engine walks an orbit x(1) = first, x(i + 1) = f(x(i)) and asks for
 (entry, cycle): the least entry with x(entry) = x(entry + cycle) and the
 least such positive cycle. States must support ==; f must be pure.
 
-A search is a SearchState plus an advance function. start builds a fresh
-state (one advance), search runs it to the answer, a RhoResult, from
-wherever it stands. The search is Brent's (BIT 20, 1980): phase 1
-teleports an anchor at power-of-two indices, which finds the cycle length
-without a doubled pointer; phase 2 walks two pointers the cycle length
-apart from x(1) to the entry.
+A search is a SearchState plus a Stepper. start builds a fresh state (one
+advance), search runs it to the answer, a RhoResult, from wherever it
+stands. The search is Brent's (BIT 20, 1980): phase 1 teleports an anchor
+at power-of-two indices, which finds the cycle length without a doubled
+pointer; phase 2 walks two pointers the cycle length apart from x(1) to
+the entry. search keeps Brent's control (phase, power, lead, budget) and
+asks the stepper for bulk advances: chase a pointer to an anchor, or walk
+two in lockstep, until the states meet or a count runs out.
 
 Inside the loop the pointers live in locals, and the state is written only
-after every advance of an iteration has succeeded. A budget stop, or an
-exception from f or from tick, therefore always leaves a state that a later
-search call resumes correctly. Budgets count advances, i.e. calls of f.
+after a stepper call has returned. A budget stop, or an exception from the
+stepper or from tick, therefore always leaves a state that a later search
+call resumes correctly. Budgets count advances, i.e. calls of f.
 
 floyd_rho is a plain tortoise and hare that shares no code with search; it
 is kept as an independent cross-check.
@@ -51,7 +53,8 @@ class SearchState:
     v1 checkpoint file has a line for each and callers build states by
     keyword. base is x(1), term_text names the orbit for checkpoints, and
     advances counts the applications made since the state was built or
-    loaded (monotone, safe to read from a monitor thread).
+    loaded (monotone, safe to read from a monitor thread). stepper is "c"
+    when cycle_detect's compiled walk makes the advances, else "py".
     """
 
     term_text: str
@@ -64,6 +67,7 @@ class SearchState:
     fast: Any
     base: Any
     advances: int = 0
+    stepper: str = "py"
 
 
 def start(first: S, f: Callable[[S], S], term_text: str = "") -> SearchState:
@@ -71,61 +75,96 @@ def start(first: S, f: Callable[[S], S], term_text: str = "") -> SearchState:
     return SearchState(term_text, "brent", 1, 1, None, None, first, f(first), first, 1)
 
 
+class Stepper:
+    """Bulk advances over an orbit step f, run in Python; an engine may hand
+    search a faster one over the same f. chase advances x until it equals
+    anchor (never when anchor is None), lockstep a and b until they are
+    equal; both stop after k advances and return the new states, the
+    advances made per pointer and whether they stopped on equal states."""
+
+    name = "py"
+
+    def __init__(self, f: Callable[[S], S]) -> None:
+        self.f = f
+
+    def chase(self, x: S, anchor: S | None, k: int) -> tuple[S, int, bool]:
+        f = self.f
+        for n in range(1, k + 1):
+            x = f(x)
+            if anchor is not None and x == anchor:
+                return x, n, True
+        return x, k, False
+
+    def lockstep(self, a: S, b: S, k: int) -> tuple[S, S, int, bool]:
+        f = self.f
+        for n in range(1, k + 1):
+            a, b = f(a), f(b)
+            if a == b:
+                return a, b, n, True
+        return a, b, k, False
+
+
 def search(
     st: SearchState,
-    f: Callable[[S], S],
+    f: Callable[[S], S] | Stepper,
     max_steps: int = MAX_STEPS,
     tick: Callable[[SearchState], None] | None = None,
+    chunk: int = MAX_STEPS,
 ) -> RhoResult:
     """Run st to the end; returns its (entry, cycle).
 
-    Raises CycleNotFound(max_steps) instead of letting st.advances pass
-    max_steps. tick is called with st after every completed iteration.
+    f is the orbit step or a Stepper over it. Raises CycleNotFound(max_steps)
+    instead of letting st.advances pass max_steps. Each stepper call makes
+    at most chunk advances per pointer; tick gets st after each commit.
     """
-    slow, fast, step, adv = st.slow, st.fast, st.step, st.advances
+    walk = f if isinstance(f, Stepper) else Stepper(f)
+    tick = tick or (lambda st: None)
+    slow, fast, adv = st.slow, st.fast, st.advances
+    found = slow == fast
     if st.phase == 1:
         # invariant: fast = x(1 + step); slow anchors the latest power-of-two
-        # index, and lam counts fast's lead over the anchor
-        power = 1 << (step.bit_length() - 1)
-        lam = step - power + 1
-        while slow != fast:
-            if adv + 1 > max_steps:
-                raise CycleNotFound(max_steps)
+        # index, and lam = step - power + 1 counts fast's lead over it. A
+        # chunk stops where lam reaches power, so the anchor teleports at
+        # the same indices whatever the chunks.
+        power = 1 << (st.step.bit_length() - 1)
+        lam = st.step - power + 1
+        while not found:
             if power == lam:
                 slow = fast
                 power <<= 1
                 lam = 0
-            fast = f(fast)
-            lam += 1
-            step += 1
-            adv += 1
-            st.slow, st.fast, st.step, st.advances = slow, fast, step, adv
-            if tick is not None:
-                tick(st)
+            k = min(power - lam, max_steps - adv, chunk)
+            if k < 1:
+                raise CycleNotFound(max_steps)
+            fast, n, found = walk.chase(fast, slow, k)
+            lam += n
+            adv += n
+            st.slow, st.fast, st.step, st.advances = slow, fast, power + lam - 1, adv
+            tick(st)
         # lam is the exact cycle length; rebuild fast = x(1 + lam) and scan
         # for the entry in lockstep. One assignment enters phase 2, so an
         # interrupt sees either phase whole.
         if adv + lam > max_steps:
             raise CycleNotFound(max_steps)
         slow = fast = st.base
-        for _ in range(lam):
-            fast = f(fast)
-        step, adv = 1, adv + lam
+        for done in range(0, lam, chunk):
+            fast = walk.chase(fast, None, min(chunk, lam - done))[0]
+        adv += lam
+        found = slow == fast
         st.phase, st.candidate_c, st.slow, st.fast, st.step, st.advances = (
-            2, lam, slow, fast, step, adv)
-        if tick is not None:
-            tick(st)
+            2, lam, slow, fast, 1, adv)
+        tick(st)
     # invariant: slow = x(step), fast = x(step + candidate_c)
-    while slow != fast:
-        if adv + 2 > max_steps:
+    step = st.step
+    while not found:
+        k = min((max_steps - adv) // 2, chunk)
+        if k < 1:
             raise CycleNotFound(max_steps)
-        slow = f(slow)
-        fast = f(fast)
-        step += 1
-        adv += 2
+        slow, fast, n, found = walk.lockstep(slow, fast, k)
+        step += n
+        adv += 2 * n
         st.slow, st.fast, st.step, st.advances = slow, fast, step, adv
-        if tick is not None:
-            tick(st)
+        tick(st)
     return RhoResult(step, st.candidate_c)
 
 

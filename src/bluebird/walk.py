@@ -1,0 +1,103 @@
+"""The compiled orbit walk: _walk.c behind a cycles.Stepper.
+
+load() compiles _walk.c with cc on first use, into $XDG_CACHE_HOME/bluebird
+(else ~/.cache/bluebird) under a name made of the source's CRC-32 and
+length, and loads it with ctypes, imported only then; it returns None when
+there is no compiler, the cache cannot be written or the library fails.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+import zlib
+
+from . import cycles
+from .canonical import LazyRuns
+from .cycles import SearchState
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
+LIMIT = 1 << 62  # bound on every stored degree and multiplicity
+
+
+@functools.cache
+def load():
+    """The loaded library, or None."""
+    import ctypes
+    import subprocess
+
+    try:
+        with open(SOURCE, "rb") as fh:
+            src = fh.read()
+        cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                             or os.path.expanduser("~/.cache"), "bluebird")
+        path = os.path.join(cache, f"walk-{zlib.crc32(src):08x}-{len(src)}.so")
+        if not os.path.exists(path):
+            os.makedirs(cache, exist_ok=True)
+            tmp = f"{path}.{os.getpid()}.tmp"
+            try:
+                subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, SOURCE],
+                               check=True, capture_output=True)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+        lib = ctypes.CDLL(path)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    ptr, int64 = ctypes.POINTER(ctypes.c_int64), ctypes.c_int64
+    lib.bb_walk.argtypes = [ptr, ptr, ptr, ptr, int64, int64, ptr]
+    lib.bb_walk.restype = ctypes.c_int
+    return lib
+
+
+def fits(st: SearchState, max_steps: int) -> bool:
+    """Whether stored numbers stay below LIMIT for max_steps more advances of
+    each pointer of st: an advance adds one to the offset and at most the base's
+    units to the units, and a merged degree is at most base top + t + units + 1."""
+    grow = st.base.flat[0] + max_steps * (1 + st.base.units())
+    return all(s.flat[0] + s.t + s.units() + grow < LIMIT for s in (st.slow, st.fast, st.base))
+
+
+class CStepper(cycles.Stepper):
+    """chase and lockstep run by the compiled walk over one base. States
+    stay LazyRuns between calls; a call copies them into two persistent
+    buffers [n, t, D0, m0, ...] and back out, O(runs) per call."""
+
+    name = "c"
+
+    def __init__(self, lib, base: LazyRuns, cap: int = 1024) -> None:
+        import ctypes
+
+        self.lib, self.int64 = lib, ctypes.c_int64
+        self.base = (self.int64 * (len(base.flat) + 2))(len(base.flat), base.t, *base.flat)
+        self.bufs = [(self.int64 * cap)() for _ in range(2)]
+        self.made = self.int64()
+
+    def _run(self, k: int, states: list[LazyRuns], both: bool):
+        # on -1 the states reached go into buffers at least twice the size
+        n = 0
+        while True:
+            cap = len(self.bufs[0])
+            need = 2 + self.base[0] + max(len(s.flat) for s in states)
+            if need > cap:
+                cap = max(need, 2 * cap)
+                self.bufs = [(self.int64 * cap)() for _ in self.bufs]
+            for buf, s in zip(self.bufs, states):
+                buf[0], buf[1] = len(s.flat), s.t
+                buf[2:len(s.flat) + 2] = s.flat
+            x, y = self.bufs
+            status = self.lib.bb_walk(x, y if both else None, y if len(states) == 2 else None,
+                                      self.base, cap, k - n, self.made)
+            n += self.made.value
+            states = [LazyRuns(b[2:b[0] + 2], b[1]) for b in self.bufs[:len(states)]]
+            if status >= 0:
+                return states, n, status == 1
+
+    def chase(self, x, anchor, k):
+        states, n, found = self._run(k, [x] if anchor is None else [x, anchor], False)
+        return states[0], n, found
+
+    def lockstep(self, a, b, k):
+        (a, b), n, found = self._run(k, [a, b], True)
+        return a, b, n, found

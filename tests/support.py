@@ -3,9 +3,10 @@
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+import pytest
 from hypothesis import strategies as hs
 
-from bluebird import cycle_detect
+from bluebird import cycle_detect, walk
 from bluebird import lambda_oracle as lo
 from bluebird.bterm import App, B, BTerm, parse
 from bluebird.canonical import DegreeSeq, LazyRuns, Runs, canonicalize, raise_runs
@@ -52,6 +53,17 @@ def bterm_strategy(max_leaves: int = 9):
     """Hypothesis strategy for B-terms of at most max_leaves leaves."""
     return hs.recursive(hs.just(B), lambda sub: hs.builds(App, sub, sub),
                         max_leaves=max_leaves)
+
+
+@pytest.fixture(params=["c", "py"])
+def stepper(request, monkeypatch):
+    """Runs a test once on the compiled walk and once on the Python stepper,
+    and gives it the name find_rho reports in SearchState.stepper."""
+    if request.param == "py":
+        monkeypatch.setattr(walk, "load", lambda: None)
+    elif walk.load() is None:
+        pytest.skip("no C compiler to build the compiled walk")
+    return request.param
 
 
 def eager_apply_runs(runs: Runs, raised_base: Runs) -> Runs:

@@ -87,9 +87,11 @@ def test_cycle_values_for_fourth_composition_power():
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_B5B"),
-                    reason="several hours of compute; set RUN_B5B=1 to enable")
+                    reason="about 75 s with the compiled walk; set RUN_B5B=1 to enable")
 def test_cycle_values_for_fifth_composition_power():
-    assert tuple(find_rho("B^5 B")) == (766241307, 234444571)
+    started = []
+    assert tuple(find_rho("B^5 B", on_start=started.append)) == (766241307, 234444571)
+    assert started[0].stepper == "c"
 
 
 @pytest.mark.parametrize("name,want", [

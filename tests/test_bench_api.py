@@ -77,7 +77,8 @@ def test_hook_and_checkpoint_hand_out_plain_runs(tmp_path):
     path = str(tmp_path / "ck")
     hooked = []
     with pytest.raises(bb.CycleNotFound):
-        bb.find_rho("B^2 B", max_steps=50, checkpoint_path=path, state_hook=hooked.append)
+        bb.find_rho("B^2 B", max_steps=50, checkpoint_path=path, checkpoint_interval=1,
+                    state_hook=hooked.append)
     back = cd.load_checkpoint(path)
     for st in hooked + [back]:
         for runs in (st.slow, st.fast, st.base):

@@ -12,7 +12,7 @@ import pytest
 
 import bluebird
 from bluebird import bterm as bt
-from bluebird import cli, cycle_detect
+from bluebird import cli, cycle_detect, walk
 from bluebird.antirho import example_antirho_term
 from bluebird.cli import main
 from bluebird.cycle_detect import advance
@@ -111,6 +111,7 @@ class TestRho:
             return advance(x, state)
 
         monkeypatch.setattr(cycle_detect, "advance", slow)
+        monkeypatch.setattr(walk, "load", lambda: None)  # the compiled walk calls no advance
         code, out, err = run(capsys, "rho", "--progress", "--max-steps", "2000", "B^4 B")
         assert (code, out) == (3, "")
         assert calls[0] == 2000
@@ -120,7 +121,7 @@ class TestRho:
         assert reports
         for line in reports:
             assert re.fullmatch(
-                r"progress: phase=1 step=\d+ advances=\d+ seq-units=\d+", line)
+                r"progress: phase=1 step=\d+ advances=\d+ seq-units=\d+ stepper=py", line)
 
     def test_interrupt_saves_checkpoint_and_exits_130(self, capsys, monkeypatch, tmp_path):
         calls = [0]
@@ -132,6 +133,7 @@ class TestRho:
             return advance(x, state)
 
         monkeypatch.setattr(cycle_detect, "advance", interrupted)
+        monkeypatch.setattr(walk, "load", lambda: None)
         path = str(tmp_path / "ck")
         code, out, err = run(capsys, "rho", "--checkpoint", path, "B^2 B")
         assert (code, out, err) == (130, "", "error: interrupted\n")
@@ -148,10 +150,11 @@ class TestRho:
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "bluebird.cli", "rho", "--checkpoint", str(ck),
-             "--checkpoint-interval", "1000", "B^4 B"],
+             "--checkpoint-interval", "1000", "B^5 B"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
         try:
-            # the first periodic save shows the search loop is running
+            # the first periodic save shows the search loop is running; B^5 B
+            # outlasts the poll, where the compiled walk ends B^4 B in 0.3 s
             deadline = time.monotonic() + 60
             while not ck.exists():
                 assert proc.poll() is None and time.monotonic() < deadline
@@ -163,7 +166,7 @@ class TestRho:
             proc.wait()
         assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
         code, out, err = run(capsys, "rho", "--checkpoint", str(ck), "--resume",
-                             "--max-steps", "1000", "B^4 B")
+                             "--max-steps", "1000", "B^5 B")
         assert (code, out, err) == (3, "", "error: no cycle found within 1000 steps\n")
         assert cycle_detect.load_checkpoint(str(ck)).step > 1000
 

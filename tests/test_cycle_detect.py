@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bluebird import bterm as bt
-from bluebird import cycle_detect, lambda_oracle
-from bluebird.canonical import DegreeSeq, LazyRuns, seq_to_bterm
+from bluebird import cycle_detect, lambda_oracle, walk
+from bluebird.canonical import DegreeSeq, LazyRuns, canonicalize, seq_to_bterm
 from bluebird.cycle_detect import (
     RhoResult,
     SearchState,
@@ -21,7 +21,7 @@ from bluebird.cycle_detect import (
 )
 from bluebird.errors import CheckpointIO, CycleNotFound, FormatVersionMismatch
 
-from .support import brute_rho, eager_orbit, floyd_canonical
+from .support import brute_rho, eager_orbit, floyd_canonical, stepper  # noqa: F401
 
 
 class Kill(Exception):
@@ -132,6 +132,21 @@ def test_lazy_states_match_the_eager_kernel(runs, stop, more):
                 continue
             assert tuple(r) == brute_rho(x, limit=len(orbit))
             break
+
+
+@pytest.mark.parametrize("text", ["B^2 B", "B^3 B"])
+def test_hooked_states_sit_at_their_brent_indices(stepper, text):
+    # with the default interval the hook sees one state per chunk; each
+    # must be the orbit state that the search invariants name
+    hooked, started = [], []
+    r = find_rho(text, state_hook=hooked.append, on_start=started.append)
+    assert tuple(r) == COMPOSITION_POWERS[text]
+    assert started[0].stepper == stepper
+    orbit = eager_orbit(canonicalize(bt.parse(text)).runs, 2 * sum(r))
+    assert 2 < len(hooked) < 40
+    for st in hooked:
+        i, j = _pointer_indices(st)
+        assert (st.slow, st.fast) == (orbit[i], orbit[j])
 
 
 def test_rejects_unknown_algorithm():
@@ -336,6 +351,7 @@ class TestKillResume:
             return advance(x, state)
 
         monkeypatch.setattr(cycle_detect, "advance", counted)
+        monkeypatch.setattr(walk, "load", lambda: None)  # the compiled walk calls no advance
         path = str(tmp_path / "ck")
         for budget in range(2, 1101):
             try:
@@ -352,6 +368,7 @@ class TestKillResume:
         # Ctrl-C lands inside some advance; the checkpoint it writes must
         # resume to the same answer. Advance 1 is the fresh state, made
         # before the search runs; past 1,097 a Brent search has finished.
+        monkeypatch.setattr(walk, "load", lambda: None)
         path = str(tmp_path / "ck")
         interrupts = 0
         for n in range(2, 1101):

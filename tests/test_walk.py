@@ -1,0 +1,161 @@
+"""The compiled orbit walk against the Python stepper, and its fallback."""
+
+import importlib.resources
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+import bluebird
+from bluebird import cycle_detect, cycles, walk
+from bluebird.bterm import parse
+from bluebird.canonical import LazyRuns, canonicalize
+from bluebird.cycle_detect import find_rho
+from bluebird.errors import CycleNotFound
+
+from .support import bterm_strategy
+
+
+@pytest.fixture
+def lib():
+    lib = walk.load()
+    if lib is None:
+        pytest.skip("no C compiler to build the compiled walk")
+    return lib
+
+
+def test_budget_stop_at_every_advance_resumes(lib, tmp_path):
+    # the compiled twin of the test in test_cycle_detect: budgets stop the
+    # B^2 B search in both phases, at every anchor move, at the phase
+    # switch and between the advances of one phase-2 iteration
+    states = []
+    path = str(tmp_path / "ck")
+    for budget in range(2, 1101):
+        try:
+            r = find_rho("B^2 B", max_steps=budget, checkpoint_path=path,
+                         on_start=states.append)
+        except CycleNotFound:
+            r = find_rho("B^2 B", max_steps=2000, checkpoint_path=path, resume=True,
+                         on_start=states.append)
+        assert (budget, tuple(r)) == (budget, (258, 36))
+    assert {st.stepper for st in states} == {"c"}
+    # a resumed search redoes no advance, so each budget costs one search
+    assert sum(st.advances for st in states) == 1099 * 1097
+
+
+def test_interrupt_at_every_tick_resumes(lib, tmp_path):
+    # with checkpoint_interval=1 every iteration is one chunk and one tick.
+    # Each run is interrupted at its first tick by a Ctrl-C raised from the
+    # hook and the next run resumes from the checkpoint that interrupt
+    # wrote, so the chain stops at every tick of the search once. Restarting
+    # from scratch for every tick would write each periodic checkpoint again.
+    ticks = []
+    assert tuple(find_rho("B^2 B", checkpoint_interval=1, state_hook=ticks.append)) == (258, 36)
+    path = str(tmp_path / "ck")
+    states, interrupts, resume = [], 0, False
+
+    def hook(st):
+        raise KeyboardInterrupt
+
+    while True:
+        try:
+            r = find_rho("B^2 B", checkpoint_path=path, checkpoint_interval=1, resume=resume,
+                         state_hook=hook, on_start=states.append)
+            break
+        except KeyboardInterrupt:
+            interrupts, resume = interrupts + 1, True
+    assert tuple(r) == (258, 36)
+    assert not os.path.exists(path)
+    assert interrupts == len(ticks) == 804
+    assert {st.stepper for st in states} == {"c"}
+    assert sum(st.advances for st in states) == 1097
+
+
+def _pair(x, cap):
+    """Fresh searches over the orbit of x with the Python stepper and with
+    a compiled one whose buffers start at cap ints."""
+    first = LazyRuns.of(canonicalize(x).runs)
+    f = partial(cycle_detect.advance, first)
+    return [(cycles.start(first, f), cycles.Stepper(f)),
+            (cycles.start(first, f), walk.CStepper(walk.load(), first, cap))]
+
+
+def _same_position(a, b):
+    assert (a.phase, a.step, a.advances, a.candidate_c) == (b.phase, b.step, b.advances,
+                                                            b.candidate_c)
+    assert (a.slow.runs(), a.fast.runs()) == (b.slow.runs(), b.fast.runs())
+
+
+@settings(deadline=None, max_examples=80)
+@given(bterm_strategy(), hs.lists(hs.integers(1, 400), min_size=1, max_size=4),
+       hs.integers(1, 300), hs.integers(4, 64))
+def test_compiled_walk_matches_python(x, budgets, chunk, cap):
+    # stop-and-resume points are the budgets; the chunk and the starting
+    # buffer size only change how the work is cut up
+    if walk.load() is None:
+        pytest.skip("no C compiler to build the compiled walk")
+    pair = _pair(x, cap)
+    for budget in budgets:
+        answers = []
+        for st, stepper in pair:
+            try:
+                answers.append(cycles.search(st, stepper, budget, chunk=chunk))
+            except CycleNotFound:
+                answers.append(None)
+        assert answers[0] == answers[1]
+        _same_position(pair[0][0], pair[1][0])
+        if answers[0] is not None:
+            break
+
+
+def test_buffers_grow_on_a_growing_orbit(lib):
+    # B B B never repeats and its state keeps growing: from 8 ints the
+    # buffers double several times, between and inside calls
+    pair = _pair(parse("B B B"), 8)
+    for st, stepper in pair:
+        with pytest.raises(CycleNotFound):
+            cycles.search(st, stepper, 3000, chunk=700)
+    _same_position(pair[0][0], pair[1][0])
+    assert len(pair[1][1].bufs[0]) >= len(pair[1][0].fast.flat) + 2 > 100
+
+
+def test_python_stepper_without_a_compiler(tmp_path):
+    # no cc on the PATH and an empty cache: the search still runs, in Python
+    src = str(Path(bluebird.__file__).resolve().parents[1])
+    env = dict(os.environ, PATH="", XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
+    code = ("from bluebird import find_rho; st = []; "
+            "print(tuple(find_rho('B^3 B', on_start=st.append)), st[0].stepper)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(4240, 5796) py\n", "")
+    assert not list(tmp_path.rglob("*.so"))
+
+
+def test_walk_source_ships_with_the_package():
+    source = importlib.resources.files("bluebird").joinpath("_walk.c")
+    assert source.is_file()
+    assert "int bb_walk(" in source.read_text()
+
+
+class Stop(Exception):
+    pass
+
+
+def test_budgets_near_the_integer_limit_run_in_python(lib):
+    # within 2^61 advances a stored degree could pass the compiled walk's
+    # 64-bit integers, so such a search runs the Python stepper
+    started = []
+
+    def stop(st):
+        raise Stop
+
+    with pytest.raises(Stop):
+        find_rho("B^4 B", max_steps=2**61, state_hook=stop, on_start=started.append)
+    with pytest.raises(CycleNotFound):
+        find_rho("B^4 B", max_steps=10, on_start=started.append)
+    assert [st.stepper for st in started] == ["py", "c"]

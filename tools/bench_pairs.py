@@ -64,12 +64,12 @@ def summarize(runs: list[tuple[dict, dict]]) -> dict:
 
 def readme_row(readme: Path, wall: dict) -> None:
     q = wall["new_quartiles"]
-    cell = f"{q['q1']:.1f}–{q['q3']:.1f} s"
+    cell = "–".join(f"{q[k]:.3g}" if q[k] < 1 else f"{q[k]:.1f}" for k in ("q1", "q3")) + " s"
     lines = readme.read_text().split("\n")
     for k, line in enumerate(lines):
         if line.startswith("| `B^4 B`"):
             cells = line.split("|")  # ['', base, first repeat, time, '']
-            cells[3] = " " + cell.ljust(len(cells[3]) - 1)
+            cells[3] = " " + cell.ljust(len(cells[3]) - 2) + " "
             lines[k] = "|".join(cells)
             readme.write_text("\n".join(lines))
             return
