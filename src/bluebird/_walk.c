@@ -1,8 +1,8 @@
-/* cycle_detect's orbit walk. A state s is n = s[0], offset t = s[1] and n
-   ints [D0 + t, m0, D1 + t, m1, ...] in a buffer of cap ints; b is the base.
-   apply is canonical._apply_into, same is LazyRuns.__eq__. bb_walk sets
-   *made and returns 1 on equal states, 0 after k advances and -1 before a
-   merge that might overflow a buffer. */
+/* cycle_detect's orbit walk, cycles.Stepper.walk in C. A state s is
+   n = s[0], offset t = s[1] and n ints [D0 + t, m0, D1 + t, m1, ...] in a
+   buffer of cap ints; b is the base. apply is canonical._apply_into, same
+   is LazyRuns.__eq__. bb_walk sets *made and returns 1 on equal states, 0
+   after k advances and -1 before a merge that might overflow a buffer. */
 
 #include <stdint.h>
 #include <string.h>
@@ -33,16 +33,16 @@ static int same(const int64_t *s, const int64_t *c)
     return 1;
 }
 
-/* advance x, and y unless it is NULL, up to k times, stopping at the first
-   state of x equal to anchor (which may be y): chase and lockstep in one */
-int bb_walk(int64_t *x, int64_t *y, const int64_t *anchor, const int64_t *b,
+/* cycles.Stepper.walk: advance x, and y too when both is set, up to k
+   times, stopping at the first x equal to y (never when y is NULL) */
+int bb_walk(int64_t *x, int64_t *y, int both, const int64_t *b,
             int64_t cap, int64_t k, int64_t *made)
 {
     int64_t i = 0, hit = 0;
-    for (; i < k && !hit && ROOM(x) && (!y || ROOM(y)); i++) {
+    for (; i < k && !hit && ROOM(x) && (!both || ROOM(y)); i++) {
         apply(x, b);
-        if (y) apply(y, b);
-        hit = anchor && same(x, anchor);
+        if (both) apply(y, b);
+        hit = y && same(x, y);
     }
     *made = i;
     return hit ? 1 : i < k ? -1 : 0;

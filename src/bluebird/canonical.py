@@ -202,6 +202,11 @@ def apply_runs(runs: Runs, raised_base: Runs) -> Runs:
     return _runs(acc, 1)
 
 
+def apply_poly(s1: DegreeSeq, s2: DegreeSeq) -> DegreeSeq:
+    """Canonical form of the application (X1 X2) given canonical s1, s2."""
+    return DegreeSeq(apply_runs(s1.runs, raise_runs(s2.runs)))
+
+
 def _fold(e: bt.BTerm) -> tuple[list[int], int]:
     """Canonical form of e as flat runs and their offset, folded bottom-up
     with an explicit stack: the spine B a1 ... an is B's [0, 1] applied to

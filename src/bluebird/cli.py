@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
+import time
 
 from . import antirho as ar
 from . import bterm as bt
@@ -38,30 +38,20 @@ from .errors import (
 from .trees import split_spine
 
 
-def _progress_monitor(stop: threading.Event):
-    """Start a daemon thread that reports search progress to stderr about
-    once a second. Returns the on_start callback for find_rho."""
-    holder: dict = {}
+def _progress_hook():
+    """A find_rho state_hook that reports the search to stderr at most once
+    a second, as chunks of advances finish."""
+    last = [time.monotonic()]
 
-    def on_start(state):
-        holder["state"] = state
+    def hook(st):
+        now = time.monotonic()
+        if now - last[0] >= 1.0:
+            last[0] = now
+            units = sum(m for _, m in st.slow)
+            print(f"progress: phase={st.phase} step={st.step} advances={st.advances} "
+                  f"seq-units={units} stepper={st.stepper}", file=sys.stderr, flush=True)
 
-    def loop():
-        while not stop.wait(1.0):
-            state = holder.get("state")
-            if state is None:
-                continue
-            units = state.slow.units()
-            print(
-                f"progress: phase={state.phase} step={state.step} "
-                f"advances={state.advances} seq-units={units} stepper={state.stepper}",
-                file=sys.stderr,
-                flush=True,
-            )
-
-    thread = threading.Thread(target=loop, daemon=True)
-    thread.start()
-    return on_start
+    return hook
 
 
 def cmd_canon(args) -> int:
@@ -95,22 +85,15 @@ def _lambda_input(text: str):
 
 def cmd_rho(args) -> int:
     if args.engine == "canonical":
-        stop = threading.Event()
-        on_start = None
-        if args.progress:
-            on_start = _progress_monitor(stop)
-        try:
-            result = find_rho(
-                args.term,
-                max_steps=args.max_steps,
-                checkpoint_path=args.checkpoint,
-                checkpoint_interval=args.checkpoint_interval,
-                checkpoint_seconds=args.checkpoint_seconds,
-                resume=args.resume,
-                on_start=on_start,
-            )
-        finally:
-            stop.set()
+        result = find_rho(
+            args.term,
+            max_steps=args.max_steps,
+            checkpoint_path=args.checkpoint,
+            checkpoint_interval=args.checkpoint_interval,
+            checkpoint_seconds=args.checkpoint_seconds,
+            resume=args.resume,
+            state_hook=_progress_hook() if args.progress else None,
+        )
     elif args.engine == "lambda":
         from .lambda_oracle import rho_lambda
 

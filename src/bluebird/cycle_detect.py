@@ -203,8 +203,9 @@ def find_rho(
     the states fit its integers, else the Python stepper over advance, in
     chunks of at most checkpoint_interval and 2^20 (about 30 ms compiled).
     state_hook gets a copy of the state with run tuples for slow and fast
-    after every chunk (every iteration with checkpoint_interval=1; meant for
-    tests); on_start gets the live SearchState once, before the loop.
+    after every chunk (every iteration with checkpoint_interval=1; the CLI's
+    --progress reports from it); on_start gets the live SearchState once,
+    before the loop.
     """
     if isinstance(x, str):
         x = bt.parse(x)

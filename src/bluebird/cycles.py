@@ -10,8 +10,9 @@ stands. The search is Brent's (BIT 20, 1980): phase 1 teleports an anchor
 at power-of-two indices, which finds the cycle length without a doubled
 pointer; phase 2 walks two pointers the cycle length apart from x(1) to
 the entry. search keeps Brent's control (phase, power, lead, budget) and
-asks the stepper for bulk advances: chase a pointer to an anchor, or walk
-two in lockstep, until the states meet or a count runs out.
+asks the stepper for bulk advances through its one call, walk: one pointer
+chased towards an anchor, or two in lockstep, until they meet or a count
+runs out.
 
 Inside the loop the pointers live in locals, and the state is written only
 after a stepper call has returned. A budget stop, or an exception from the
@@ -53,8 +54,8 @@ class SearchState:
     v1 checkpoint file has a line for each and callers build states by
     keyword. base is x(1), term_text names the orbit for checkpoints, and
     advances counts the applications made since the state was built or
-    loaded (monotone, safe to read from a monitor thread). stepper is "c"
-    when cycle_detect's compiled walk makes the advances, else "py".
+    loaded. stepper is "c" when cycle_detect's compiled walk makes the
+    advances, else "py".
     """
 
     term_text: str
@@ -77,47 +78,39 @@ def start(first: S, f: Callable[[S], S], term_text: str = "") -> SearchState:
 
 class Stepper:
     """Bulk advances over an orbit step f, run in Python; an engine may hand
-    search a faster one over the same f. chase advances x until it equals
-    anchor (never when anchor is None), lockstep a and b until they are
-    equal; both stop after k advances and return the new states, the
-    advances made per pointer and whether they stopped on equal states."""
+    search a faster one over the same f. walk advances a, and b too when
+    both is set, up to k times; it stops at the first a == b, never when b
+    is None, and returns (a, b, advances per pointer, whether they met)."""
 
     name = "py"
 
     def __init__(self, f: Callable[[S], S]) -> None:
         self.f = f
 
-    def chase(self, x: S, anchor: S | None, k: int) -> tuple[S, int, bool]:
+    def walk(self, a: S, b: S | None, k: int, both: bool) -> tuple[S, S | None, int, bool]:
         f = self.f
         for n in range(1, k + 1):
-            x = f(x)
-            if anchor is not None and x == anchor:
-                return x, n, True
-        return x, k, False
-
-    def lockstep(self, a: S, b: S, k: int) -> tuple[S, S, int, bool]:
-        f = self.f
-        for n in range(1, k + 1):
-            a, b = f(a), f(b)
-            if a == b:
+            a = f(a)
+            if both:
+                b = f(b)
+            if b is not None and a == b:
                 return a, b, n, True
         return a, b, k, False
 
 
 def search(
     st: SearchState,
-    f: Callable[[S], S] | Stepper,
+    stepper: Stepper,
     max_steps: int = MAX_STEPS,
     tick: Callable[[SearchState], None] | None = None,
     chunk: int = MAX_STEPS,
 ) -> RhoResult:
     """Run st to the end; returns its (entry, cycle).
 
-    f is the orbit step or a Stepper over it. Raises CycleNotFound(max_steps)
-    instead of letting st.advances pass max_steps. Each stepper call makes
-    at most chunk advances per pointer; tick gets st after each commit.
+    stepper walks the orbit of st. Raises CycleNotFound(max_steps) instead
+    of letting st.advances pass max_steps. Each stepper call makes at most
+    chunk advances per pointer; tick gets st after each commit.
     """
-    walk = f if isinstance(f, Stepper) else Stepper(f)
     tick = tick or (lambda st: None)
     slow, fast, adv = st.slow, st.fast, st.advances
     found = slow == fast
@@ -136,7 +129,7 @@ def search(
             k = min(power - lam, max_steps - adv, chunk)
             if k < 1:
                 raise CycleNotFound(max_steps)
-            fast, n, found = walk.chase(fast, slow, k)
+            fast, slow, n, found = stepper.walk(fast, slow, k, False)
             lam += n
             adv += n
             st.slow, st.fast, st.step, st.advances = slow, fast, power + lam - 1, adv
@@ -148,7 +141,7 @@ def search(
             raise CycleNotFound(max_steps)
         slow = fast = st.base
         for done in range(0, lam, chunk):
-            fast = walk.chase(fast, None, min(chunk, lam - done))[0]
+            fast = stepper.walk(fast, None, min(chunk, lam - done), False)[0]
         adv += lam
         found = slow == fast
         st.phase, st.candidate_c, st.slow, st.fast, st.step, st.advances = (
@@ -160,7 +153,7 @@ def search(
         k = min((max_steps - adv) // 2, chunk)
         if k < 1:
             raise CycleNotFound(max_steps)
-        slow, fast, n, found = walk.lockstep(slow, fast, k)
+        slow, fast, n, found = stepper.walk(slow, fast, k, True)
         step += n
         adv += 2 * n
         st.slow, st.fast, st.step, st.advances = slow, fast, step, adv
@@ -170,7 +163,7 @@ def search(
 
 def brent_rho(first: S, f: Callable[[S], S], max_steps: int = MAX_STEPS) -> RhoResult:
     """Brent's teleporting-anchor search; returns (entry, cycle)."""
-    return search(start(first, f), f, max_steps)
+    return search(start(first, f), Stepper(f), max_steps)
 
 
 def floyd_rho(first: S, f: Callable[[S], S], max_steps: int = MAX_STEPS) -> RhoResult:

@@ -1,4 +1,5 @@
-"""The compiled orbit walk: _walk.c behind a cycles.Stepper.
+"""The compiled orbit walk: _walk.c's bb_walk behind CStepper.walk, the
+one call of a cycles.Stepper.
 
 load() compiles _walk.c with cc on first use, into $XDG_CACHE_HOME/bluebird
 (else ~/.cache/bluebird) under a name made of the source's CRC-32 and
@@ -46,7 +47,7 @@ def load():
     except (OSError, subprocess.CalledProcessError):
         return None
     ptr, int64 = ctypes.POINTER(ctypes.c_int64), ctypes.c_int64
-    lib.bb_walk.argtypes = [ptr, ptr, ptr, ptr, int64, int64, ptr]
+    lib.bb_walk.argtypes = [ptr, ptr, ctypes.c_int, ptr, int64, int64, ptr]
     lib.bb_walk.restype = ctypes.c_int
     return lib
 
@@ -60,9 +61,9 @@ def fits(st: SearchState, max_steps: int) -> bool:
 
 
 class CStepper(cycles.Stepper):
-    """chase and lockstep run by the compiled walk over one base. States
-    stay LazyRuns between calls; a call copies them into two persistent
-    buffers [n, t, D0, m0, ...] and back out, O(runs) per call."""
+    """Stepper.walk run by the compiled walk over one base. States stay
+    LazyRuns between calls; a call copies them into two persistent buffers
+    [n, t, D0, m0, ...] and back out, O(runs) per call."""
 
     name = "c"
 
@@ -74,10 +75,11 @@ class CStepper(cycles.Stepper):
         self.bufs = [(self.int64 * cap)() for _ in range(2)]
         self.made = self.int64()
 
-    def _run(self, k: int, states: list[LazyRuns], both: bool):
+    def walk(self, a, b, k, both):
         # on -1 the states reached go into buffers at least twice the size
         n = 0
         while True:
+            states = [a] if b is None else [a, b]
             cap = len(self.bufs[0])
             need = 2 + self.base[0] + max(len(s.flat) for s in states)
             if need > cap:
@@ -87,17 +89,11 @@ class CStepper(cycles.Stepper):
                 buf[0], buf[1] = len(s.flat), s.t
                 buf[2:len(s.flat) + 2] = s.flat
             x, y = self.bufs
-            status = self.lib.bb_walk(x, y if both else None, y if len(states) == 2 else None,
-                                      self.base, cap, k - n, self.made)
+            status = self.lib.bb_walk(x, None if b is None else y, both, self.base, cap,
+                                      k - n, self.made)
             n += self.made.value
-            states = [LazyRuns(b[2:b[0] + 2], b[1]) for b in self.bufs[:len(states)]]
+            a = LazyRuns(x[2:x[0] + 2], x[1])
+            if both:
+                b = LazyRuns(y[2:y[0] + 2], y[1])
             if status >= 0:
-                return states, n, status == 1
-
-    def chase(self, x, anchor, k):
-        states, n, found = self._run(k, [x] if anchor is None else [x, anchor], False)
-        return states[0], n, found
-
-    def lockstep(self, a, b, k):
-        (a, b), n, found = self._run(k, [a, b], True)
-        return a, b, n, found
+                return a, b, n, status == 1

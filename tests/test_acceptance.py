@@ -22,6 +22,7 @@ from bluebird.antirho import (
     z_term,
 )
 from bluebird.canonical import (
+    apply_poly,
     canonicalize,
     equivalent_bterms,
     nodes_at,
@@ -31,7 +32,6 @@ from bluebird.canonical import (
     tree_of,
 )
 from bluebird.cycle_detect import find_rho
-from bluebird.fast_apply import apply_poly
 from bluebird.restricted import (
     RestrictedEngine,
     find_rho_restricted,

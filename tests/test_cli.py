@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -101,27 +102,32 @@ class TestRho:
         assert exc.value.code == 2
 
     def test_progress_reports_to_stderr(self, capsys, monkeypatch):
-        # at 1 ms or more per advance the search outlives the first report,
-        # which comes after 1 s, on any machine
+        # the reporter's clock reads 2 ms per advance made: a report comes
+        # as a chunk finishes, at most once a second, so each one shows at
+        # least 500 advances more than the one before, and the first too
         calls = [0]
 
-        def slow(x, state):
+        def counted(x, state):
             calls[0] += 1
-            time.sleep(0.001)
             return advance(x, state)
 
-        monkeypatch.setattr(cycle_detect, "advance", slow)
+        monkeypatch.setattr(cycle_detect, "advance", counted)
         monkeypatch.setattr(walk, "load", lambda: None)  # the compiled walk calls no advance
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: calls[0] * 0.002))
         code, out, err = run(capsys, "rho", "--progress", "--max-steps", "2000", "B^4 B")
         assert (code, out) == (3, "")
         assert calls[0] == 2000
         reports = [l for l in err.splitlines() if l.startswith("progress: ")]
         others = [l for l in err.splitlines() if not l.startswith("progress: ")]
         assert others == ["error: no cycle found within 2000 steps"]
-        assert reports
+        advances = [0]
         for line in reports:
-            assert re.fullmatch(
-                r"progress: phase=1 step=\d+ advances=\d+ seq-units=\d+ stepper=py", line)
+            m = re.fullmatch(
+                r"progress: phase=1 step=\d+ advances=(\d+) seq-units=\d+ stepper=py", line)
+            assert m
+            advances.append(int(m[1]))
+        assert len(advances) > 2
+        assert all(b - a >= 500 for a, b in zip(advances, advances[1:]))
 
     def test_interrupt_saves_checkpoint_and_exits_130(self, capsys, monkeypatch, tmp_path):
         calls = [0]

@@ -12,6 +12,7 @@ from bluebird.cycle_detect import find_rho
 from bluebird.cycles import (
     MAX_STEPS,
     RhoResult,
+    Stepper,
     brent_rho,
     floyd_rho,
     search,
@@ -83,10 +84,10 @@ def test_budget_stop_then_resume_matches_brute_force(data):
     f = table.__getitem__
     st = start(first, f)
     try:
-        got = search(st, f, budget)
+        got = search(st, Stepper(f), budget)
     except CycleNotFound:
         # Brent needs fewer than 7 n advances on n states
-        got = search(st, f, 7 * n)
+        got = search(st, Stepper(f), 7 * n)
     assert got == floyd_rho(first, f) == brute(first, f)
 
 

@@ -4,8 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bluebird import bterm as bt
-from bluebird.canonical import canonical_via_lambda, canonicalize, parse_seq, seq_to_bterm
-from bluebird.fast_apply import apply_poly, apply_runs, raise_runs
+from bluebird.canonical import (
+    apply_poly,
+    apply_runs,
+    canonical_via_lambda,
+    canonicalize,
+    parse_seq,
+    raise_runs,
+    seq_to_bterm,
+)
 
 from .support import bterm_strategy, eager_apply_runs
 

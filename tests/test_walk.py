@@ -29,25 +29,6 @@ def lib():
     return lib
 
 
-def test_budget_stop_at_every_advance_resumes(lib, tmp_path):
-    # the compiled twin of the test in test_cycle_detect: budgets stop the
-    # B^2 B search in both phases, at every anchor move, at the phase
-    # switch and between the advances of one phase-2 iteration
-    states = []
-    path = str(tmp_path / "ck")
-    for budget in range(2, 1101):
-        try:
-            r = find_rho("B^2 B", max_steps=budget, checkpoint_path=path,
-                         on_start=states.append)
-        except CycleNotFound:
-            r = find_rho("B^2 B", max_steps=2000, checkpoint_path=path, resume=True,
-                         on_start=states.append)
-        assert (budget, tuple(r)) == (budget, (258, 36))
-    assert {st.stepper for st in states} == {"c"}
-    # a resumed search redoes no advance, so each budget costs one search
-    assert sum(st.advances for st in states) == 1099 * 1097
-
-
 def test_interrupt_at_every_tick_resumes(lib, tmp_path):
     # with checkpoint_interval=1 every iteration is one chunk and one tick.
     # Each run is interrupted at its first tick by a Ctrl-C raised from the
@@ -159,3 +140,9 @@ def test_budgets_near_the_integer_limit_run_in_python(lib):
     with pytest.raises(CycleNotFound):
         find_rho("B^4 B", max_steps=10, on_start=started.append)
     assert [st.stepper for st in started] == ["py", "c"]
+
+
+def test_steppers_expose_one_call():
+    # the search asks a stepper for advances through walk alone
+    for cls in (cycles.Stepper, walk.CStepper):
+        assert [n for n in vars(cls) if not n.startswith("_")] == ["name", "walk"]
