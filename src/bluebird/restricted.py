@@ -10,9 +10,11 @@ abstraction, so equality of normal forms is decidable syntactically. Every
 contraction erases exactly one constant occurrence and duplicates nothing,
 hence normal forms always exist; the step budget only caps effort.
 
-The engine hash-conses terms into integer ids, so normal forms compare in
-O(1) and the cycle searches from cycles.py run directly on ids. Budgets and
-memo tables live on the engine instance; use one engine per search when
+The engine hash-conses normal forms into integer ids: app(fn, arg) is the
+id of the normal form of fn arg, so every id names a normal form, normal
+forms compare in O(1) and the cycle searches from cycles.py run directly on
+ids. One table maps each application pair to its normal form. Budgets and
+tables live on the engine instance; use one engine per search when
 isolation matters.
 """
 
@@ -24,6 +26,8 @@ from typing import Union
 from . import bterm as bt
 from . import cycles
 from .errors import StepBudgetExceeded
+
+MAX_CONTRACTIONS = 10**7  # default contraction budget of every restricted entry point
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,27 +77,59 @@ def monomial_rterm(n: int) -> RTerm:
 
 
 class RestrictedEngine:
-    """Hash-consed rewrite engine with a cumulative contraction budget."""
+    """Normal forms hash-consed into ids, with a cumulative contraction budget."""
 
-    def __init__(self, max_steps: int = 10**7):
-        self._node: list[tuple[int, int]] = []  # (-1, k) const | (fn, arg) app
-        self._apps: dict[tuple[int, int], int] = {}  # id of every node
-        self._nf: dict[int, int] = {}
+    def __init__(self, max_steps: int = MAX_CONTRACTIONS):
+        self._node: list[tuple[int, int]] = []  # (-1, k) const | (fn, arg) normal app
+        self._apps: dict[tuple[int, int], int] = {}  # pair -> id of its normal form
         self.max_steps = max_steps
         self.steps = 0
 
     def app(self, fn: int, arg: int) -> int:
-        """Id of the node (fn, arg); app(-1, k) is the constant Const(k)."""
-        key = (fn, arg)
-        i = self._apps.get(key)
-        if i is None:
-            i = len(self._node)
-            self._node.append(key)
-            self._apps[key] = i
-        return i
+        """Id of the normal form of fn arg; app(-1, k) is the constant Const(k).
+
+        fn is normal, so its head Const(k) has at most k + 2 arguments. Short
+        of k + 3 with arg, fn arg is a new normal node; at k + 3 it is the
+        redex Const(k) a1 ... a(k+3), contracted to a1 (a2 ... a(k+3)) and built
+        back through app itself. Those inner calls wait on an explicit list,
+        so a long chain of contractions uses no interpreter stack."""
+        apps, node = self._apps, self._node
+        pending: list[list] = []  # [pair, [a1, ..., a(k+3)], index of the next piece]
+        while True:
+            key = (fn, arg)
+            out = apps.get(key)
+            if out is None:
+                args, head = [arg], fn
+                while head >= 0:  # down fn's spine; the last value read is its head's k
+                    head, a = node[head]
+                    args.append(a)
+                k = args.pop()  # arg itself when fn is -1: the constant case
+                if len(args) < k + 3:
+                    out = apps[key] = len(node)
+                    node.append(key)
+                else:
+                    self.steps += 1
+                    if self.steps > self.max_steps:
+                        raise StepBudgetExceeded(self.max_steps)
+                    args.reverse()
+                    pending.append([key, args, 3])
+                    fn, arg = args[1], args[2]
+                    continue
+            while pending:
+                top = pending[-1]
+                key, args, nxt = top
+                if nxt <= len(args):
+                    top[2] = nxt + 1
+                    fn, arg = (out, args[nxt]) if nxt < len(args) else (args[0], out)
+                    break
+                apps[key] = out
+                pending.pop()
+            else:
+                return out
 
     def intern(self, t: RTerm) -> int:
-        """Map an RTerm to its id, iteratively (terms may nest deep)."""
+        """Id of the normal form of an RTerm, built bottom-up through app
+        without recursion (terms may nest deep)."""
         order, stack = [], [t]
         while stack:
             u = stack.pop()
@@ -108,7 +144,7 @@ class RestrictedEngine:
         return ids[0]
 
     def extern(self, i: int) -> RTerm:
-        """Inverse of intern; shared ids become shared subterms."""
+        """The normal form that id i names; shared ids become shared subterms."""
         memo: dict[int, RTerm] = {}
         stack = [i]
         while stack:
@@ -124,73 +160,23 @@ class RestrictedEngine:
                 stack += (j, b, a)
         return memo[i]
 
-    def _head_redex(self, t: int) -> int | None:
-        """Contract the leftmost-outermost redex of t, whose children are
-        already normal; returns the contractum id, or None if t is normal."""
-        node = self._node
-        args: list[int] = []
-        cur = t
-        while node[cur][0] >= 0:
-            fn, arg = node[cur]
-            args.append(arg)
-            cur = fn
-        k = node[cur][1]
-        need = k + 3
-        if len(args) < need:
-            return None
-        args.reverse()
-        inner = args[1]
-        for a in args[2:need]:
-            inner = self.app(inner, a)
-        out = self.app(args[0], inner)
-        for a in args[need:]:
-            out = self.app(out, a)
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise StepBudgetExceeded(self.max_steps)
-        return out
-
-    def normalize(self, root: int) -> int:
-        """Normal form id of root. Iterative so deep spines cannot overflow
-        the interpreter stack; results are memoized on the engine."""
-        nf = self._nf
-        node = self._node
-        stack: list = [root]  # ids to normalize; (id, rebuilt, contractum) to finish
-        while stack:
-            i = stack.pop()
-            if type(i) is tuple:
-                i, t, red = i
-                nf[i] = nf[t] = nf[red]
-                continue
-            if i in nf:
-                continue
-            a, b = node[i]
-            if a < 0:
-                nf[i] = i
-            elif a not in nf or b not in nf:
-                stack += (i, b, a)
-            else:
-                fa, fb = nf[a], nf[b]
-                t = i if (fa == a and fb == b) else self.app(fa, fb)
-                red = self._head_redex(t)
-                if red is None:
-                    nf[i] = nf[t] = t
-                else:
-                    stack += ((i, t, red), red)
-        return nf[root]
+    def normalize(self, i: int) -> int:
+        """i itself: every id already names a normal form. Kept for callers
+        written as normalize(app(...))."""
+        return i
 
 
-def rnormalize(t: RTerm, max_steps: int = 10**7) -> RTerm:
+def rnormalize(t: RTerm, max_steps: int = MAX_CONTRACTIONS) -> RTerm:
     """Normal form of an RTerm under the restricted rule."""
     eng = RestrictedEngine(max_steps)
-    return eng.extern(eng.normalize(eng.intern(t)))
+    return eng.extern(eng.intern(t))
 
 
 def find_rho_restricted(
     x: RTerm | str,
     algorithm: str = "brent",
     max_steps: int = cycles.MAX_STEPS,
-    rewrite_budget: int = 10**7,
+    rewrite_budget: int = MAX_CONTRACTIONS,
 ) -> cycles.RhoResult:
     """Least (entry, cycle) of the self-application orbit of x under the
     restricted rule, comparing normal forms syntactically. max_steps bounds
@@ -201,9 +187,5 @@ def find_rho_restricted(
     if isinstance(x, str):
         x = parse_rterm(x)
     eng = RestrictedEngine(rewrite_budget)
-    base = eng.normalize(eng.intern(x))
-
-    def advance(i: int) -> int:
-        return eng.normalize(eng.app(i, base))
-
-    return cycles.brent_rho(base, advance, max_steps)
+    base = eng.intern(x)
+    return cycles.brent_rho(base, lambda i: eng.app(i, base), max_steps)

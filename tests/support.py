@@ -12,6 +12,7 @@ from bluebird.bterm import App, B, BTerm, parse
 from bluebird.canonical import DegreeSeq, LazyRuns, Runs, canonicalize, raise_runs
 from bluebird.cycles import floyd_rho
 from bluebird.errors import StepBudgetExceeded
+from bluebird.restricted import RApp, RConst
 
 
 @lru_cache(maxsize=None)
@@ -203,3 +204,57 @@ def reference_normalize(t, max_steps=lo.DEFAULT_BUDGET):
     reduction on the tree, or StepBudgetExceeded past max_steps steps."""
     budget = [0, max_steps]
     return _eta(_beta_nf(t, budget)), budget[0]
+
+
+# --- a second restricted contractor -----------------------------------------
+# One leftmost-outermost contraction at a time on RTerm trees, apart from
+# RestrictedEngine's hash-consed pair table. It recurses on argument
+# nesting, so keep its inputs shallow.
+
+def _contract_leftmost(t):
+    """t with its leftmost-outermost redex contracted, or None if t is normal."""
+    head, args = t, []
+    while isinstance(head, RApp):
+        args.append(head.arg)
+        head = head.fn
+    args.reverse()
+    need = head.k + 3
+    if len(args) >= need:
+        inner = args[1]
+        for a in args[2:need]:
+            inner = RApp(inner, a)
+        args[:need] = [RApp(args[0], inner)]
+    else:
+        for i, a in enumerate(args):
+            red = _contract_leftmost(a)
+            if red is not None:
+                args[i] = red
+                break
+        else:
+            return None
+        args.insert(0, head)
+    out = args[0]
+    for a in args[1:]:
+        out = RApp(out, a)
+    return out
+
+
+def reference_rnormalize(t):
+    """(normal form of the RTerm t, contractions taken), contracting the
+    leftmost-outermost redex until none is left."""
+    steps = 0
+    while (red := _contract_leftmost(t)) is not None:
+        t, steps = red, steps + 1
+    return t, steps
+
+
+def count_rconsts(t) -> int:
+    """Number of constant occurrences in an RTerm."""
+    n, stack = 0, [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, RApp):
+            stack += (u.fn, u.arg)
+        else:
+            n += 1
+    return n

@@ -1,11 +1,15 @@
 """The restricted rewriting variant: head constants of every arity."""
 
+import inspect
+from functools import reduce
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
 from bluebird.errors import ParseError, StepBudgetExceeded
 from bluebird.restricted import (
+    MAX_CONTRACTIONS,
     RApp,
     RConst,
     RestrictedEngine,
@@ -15,6 +19,8 @@ from bluebird.restricted import (
     parse_rterm,
     rnormalize,
 )
+
+from .support import count_rconsts, reference_rnormalize
 
 
 def T(s):
@@ -90,27 +96,55 @@ def test_engine_hash_consing_is_stable():
     assert eng.extern(eng.intern(t)) == t
 
 
+def test_every_id_names_a_normal_form():
+    eng = RestrictedEngine()
+    i = eng.intern(T("B B B B"))
+    assert i == eng.intern(T("B (B B)"))
+    assert eng.extern(i) == T("B (B B)")
+    assert eng.normalize(i) == i
+
+
+def test_long_contraction_chain_at_the_default_recursion_limit():
+    # (B B^1 t) B^2 -> B^1 (t B^2): each contraction leaves the next one
+    # inside its argument, so the chain nests n deep
+    n = 10**5
+    t = RConst(9)
+    for _ in range(n):
+        t = RApp(RApp(RConst(0), RConst(1)), t)
+    eng = RestrictedEngine()
+    i = eng.intern(RApp(t, RConst(2)))
+    assert eng.steps == n
+    assert format_rterm(eng.extern(i)) == "B^1 (" * n + "B^9 B^2" + ")" * n
+
+
+def test_one_default_contraction_budget():
+    assert inspect.signature(RestrictedEngine).parameters["max_steps"].default == MAX_CONTRACTIONS
+    assert inspect.signature(rnormalize).parameters["max_steps"].default == MAX_CONTRACTIONS
+    budget = inspect.signature(find_rho_restricted).parameters["rewrite_budget"]
+    assert budget.default == MAX_CONTRACTIONS
+
+
 def test_engine_counts_contractions():
     eng = RestrictedEngine()
     red = T("B B B B")      # exactly one contraction
-    eng.normalize(eng.intern(red))
+    eng.intern(red)
     assert eng.steps == 1
 
 
 def test_step_budget():
     eng = RestrictedEngine(max_steps=0)
     with pytest.raises(StepBudgetExceeded):
-        eng.normalize(eng.intern(T("B B B B")))
+        eng.intern(T("B B B B"))
 
 
 def test_iterate_restricted_prefix():
     # normal forms of X(1) .. X(4), the orbit find_rho_restricted walks
     eng = RestrictedEngine()
-    base = cur = eng.normalize(eng.intern(T("B B")))
+    base = cur = eng.intern(T("B B"))
     got = []
     for _ in range(4):
         got.append(format_rterm(eng.extern(cur)))
-        cur = eng.normalize(eng.app(cur, base))
+        cur = eng.app(cur, base)
     assert got == ["B B", "B B (B B)", "B (B B (B B))", "B (B B (B B)) (B B)"]
 
 
@@ -129,6 +163,22 @@ rterms = hs.recursive(hs.builds(RConst, hs.integers(0, 12)),
 @given(rterms)
 def test_parse_format_roundtrip_sampled(t):
     assert parse_rterm(format_rterm(t)) == t
+
+
+# a head applied to up to six arguments, with arities 0 to 2, so that
+# redexes are common (rterms' arities up to 12 rarely saturate)
+spines = hs.recursive(hs.builds(RConst, hs.integers(0, 2)),
+                      lambda sub: hs.builds(reduce, hs.just(RApp),
+                                            hs.lists(sub, min_size=1, max_size=6), sub),
+                      max_leaves=24)
+
+
+@given(hs.one_of(rterms, spines))
+def test_engine_agrees_with_the_reference_contractor(t):
+    nf, steps = reference_rnormalize(t)
+    assert rnormalize(t) == nf
+    # each contraction erases one constant and copies none
+    assert steps == count_rconsts(t) - count_rconsts(nf)
 
 
 def test_parse_errors_carry_bterm_messages():
