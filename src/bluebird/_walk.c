@@ -1,7 +1,7 @@
 /* cycle_detect's orbit walk, cycles.Stepper.walk in C. A state s is
    n = s[0], offset t = s[1] and n ints [D0 + t, m0, D1 + t, m1, ...] in a
    buffer of cap ints; b is the base. apply is canonical._apply_into, same
-   is LazyRuns.__eq__. bb_walk sets *made and returns 1 on equal states, 0
+   is DegreeSeq.__eq__. bb_walk sets *made and returns 1 on equal states, 0
    after k advances and -1 before a merge that might overflow a buffer. */
 
 #include <stdint.h>

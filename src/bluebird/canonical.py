@@ -5,12 +5,13 @@ Every B-term is equivalent to a unique composition chain
     (B^n1 B) . (B^n2 B) . ... . (B^nk B)      n1 >= n2 >= ... >= nk >= 0
 
 so a non-increasing sequence of degrees [n1, ..., nk] is a complete invariant:
-two B-terms are beta-eta equivalent iff their sequences match. DegreeSeq
-stores the sequence run-length encoded; canonicalize computes it by folding
-the term's applications through _apply_into, the one merge kernel, which
-the orbit search also runs on LazyRuns, the same runs kept flat with a lazy
-degree offset; canonical_via_lambda recomputes it through the lambda oracle
-so the two routes can be cross-checked.
+two B-terms are beta-eta equivalent iff their sequences match. DegreeSeq,
+the one type of a canonical form, stores the sequence run-length encoded
+and flat with a lazy degree offset. canonicalize computes it by folding
+the term's applications through _apply_into, the one merge kernel, and
+apply_poly, the orbit search's step, runs the same kernel on two of them;
+canonical_via_lambda recomputes it through the lambda oracle so the two
+routes can be cross-checked.
 
 The only non-trivial law is the adjacent swap
 
@@ -22,7 +23,6 @@ strictly smaller neighbour, gaining one degree per element passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from . import bterm as bt
@@ -31,27 +31,40 @@ from .trees import LEAF, BinTree, Node, comb
 
 Runs = tuple[tuple[int, int], ...]
 
+_set = object.__setattr__  # DegreeSeq.__setattr__ refuses every assignment
 
-@dataclass(frozen=True, slots=True)
+
 class DegreeSeq:
     """Run-length encoded non-increasing degree sequence.
 
     runs is ((degree, multiplicity), ...) with strictly decreasing degrees
-    and positive multiplicities; value equality is canonical-form equality.
+    and positive multiplicities, checked here; the kernel's results skip
+    the check (_seq). The value is kept flat with a lazy degree offset t,
+    flat = (d0 + t, m0, d1 + t, m1, ...), so one application costs one
+    merge and no pass over the runs. == is canonical-form equality
+    whatever the offsets, and hash agrees with it.
     """
 
-    runs: Runs
+    __slots__ = ("flat", "t")
 
-    def __post_init__(self) -> None:
-        if not self.runs:
+    def __init__(self, runs: Runs) -> None:
+        if not runs:
             raise ValueError("degree sequence must be nonempty")
         prev = None
-        for d, m in self.runs:
+        for d, m in runs:
             if d < 0 or m < 1:
                 raise ValueError(f"bad run ({d}, {m})")
             if prev is not None and d >= prev:
                 raise ValueError("run degrees must strictly decrease")
             prev = d
+        _set(self, "flat", tuple(chain.from_iterable(runs)))
+        _set(self, "t", 0)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DegreeSeq is immutable")
+
+    def __reduce__(self):
+        return DegreeSeq, (self.runs,)
 
     @staticmethod
     def from_degrees(degrees) -> "DegreeSeq":
@@ -64,6 +77,11 @@ class DegreeSeq:
                 runs.append((d, 1))
         return DegreeSeq(tuple(runs))
 
+    @property
+    def runs(self) -> Runs:
+        it, t = iter(self.flat), self.t
+        return tuple([(d - t, m) for d, m in zip(it, it)])
+
     def degrees(self) -> tuple[int, ...]:
         """Expanded sequence; avoid on astronomically large multiplicities."""
         out: list[int] = []
@@ -72,15 +90,32 @@ class DegreeSeq:
         return tuple(out)
 
     def __len__(self) -> int:
-        return sum(m for _, m in self.runs)
+        return sum(self.flat[1::2])
 
     @property
     def max_degree(self) -> int:
-        return self.runs[0][0]
+        return self.flat[0] - self.t
 
     def is_monomial(self) -> bool:
         """True when the whole form is a single B^n B."""
-        return len(self.runs) == 1 and self.runs[0][1] == 1
+        return len(self.flat) == 2 and self.flat[1] == 1
+
+    def __eq__(self, other) -> bool:
+        # a cheap key first (length, tail multiplicity, tail and head
+        # degrees), then every degree with the offsets taken out
+        if not isinstance(other, DegreeSeq):
+            return NotImplemented
+        a, b = self.flat, other.flat
+        d = self.t - other.t
+        if len(a) != len(b) or a[-1] != b[-1] or a[-2] - b[-2] != d or a[0] - b[0] != d:
+            return False
+        return a[1::2] == b[1::2] and all(x - y == d for x, y in zip(a[::2], b[::2]))
+
+    def __hash__(self) -> int:
+        return hash(self.runs)
+
+    def __repr__(self) -> str:
+        return f"DegreeSeq(runs={self.runs!r})"
 
     def text(self) -> str:
         return "[" + ",".join(str(d) for d in self.degrees()) + "]"
@@ -90,6 +125,15 @@ class DegreeSeq:
 
     def __str__(self) -> str:
         return self.text()
+
+
+def _seq(flat: tuple[int, ...], t: int) -> DegreeSeq:
+    """The DegreeSeq of flat runs at offset t, unchecked: the kernel's own
+    output is canonical by construction."""
+    s = object.__new__(DegreeSeq)
+    _set(s, "flat", flat)
+    _set(s, "t", t)
+    return s
 
 
 def parse_seq(text: str) -> DegreeSeq:
@@ -154,57 +198,21 @@ def _apply_into(acc: list[int], runs: list[int] | tuple[int, ...], lift: int, t:
         acc.pop()
 
 
-def _runs(flat: list[int], t: int) -> Runs:
-    """The run tuples of flat runs at offset t."""
-    it = iter(flat)
-    return tuple([(d - t, m) for d, m in zip(it, it)])
-
-
-class LazyRuns:
-    """A canonical form as the orbit search holds it: flat runs
-    [d0 + t, m0, d1 + t, m1, ...] with their offset t, so one application
-    costs one merge and no pass over the runs. Immutable by convention:
-    whoever merges copies flat first. == compares canonical forms whatever
-    the offsets; runs() gives the DegreeSeq runs.
-    """
-
-    __slots__ = ("flat", "t")
-
-    def __init__(self, flat: list[int], t: int) -> None:
-        self.flat = flat
-        self.t = t
-
-    @staticmethod
-    def of(runs: Runs) -> "LazyRuns":
-        return LazyRuns(list(chain.from_iterable(runs)), 0)
-
-    def runs(self) -> Runs:
-        return _runs(self.flat, self.t)
-
-    def units(self) -> int:
-        return sum(self.flat[1::2])
-
-    def __eq__(self, other) -> bool:
-        # a cheap key first (length, tail multiplicity, tail and head
-        # degrees), then every degree with the offsets taken out
-        a, b = self.flat, other.flat
-        d = self.t - other.t
-        if len(a) != len(b) or a[-1] != b[-1] or a[-2] - b[-2] != d or a[0] - b[0] != d:
-            return False
-        return a[1::2] == b[1::2] and all(x - y == d for x, y in zip(a[::2], b[::2]))
-
-
 def apply_runs(runs: Runs, raised_base: Runs) -> Runs:
     """One application step on raw runs: canonical form of (X Y) where runs
     is canonical(X) and raised_base is raise_runs(canonical(Y))."""
     acc = list(chain.from_iterable(runs))
     _apply_into(acc, tuple(chain.from_iterable(raised_base)), 0, 0)
-    return _runs(acc, 1)
+    return _seq(tuple(acc), 1).runs
 
 
 def apply_poly(s1: DegreeSeq, s2: DegreeSeq) -> DegreeSeq:
-    """Canonical form of the application (X1 X2) given canonical s1, s2."""
-    return DegreeSeq(apply_runs(s1.runs, raise_runs(s2.runs)))
+    """Canonical form of the application (X1 X2) given canonical s1, s2:
+    the orbit step, one merge into a copy of s1's runs. Neither operand
+    changes."""
+    flat, t = list(s1.flat), s1.t
+    _apply_into(flat, s2.flat, t + 1 - s2.t, t)
+    return _seq(tuple(flat), t + 1)
 
 
 def _fold(e: bt.BTerm) -> tuple[list[int], int]:
@@ -234,20 +242,19 @@ def _fold(e: bt.BTerm) -> tuple[list[int], int]:
 
 def canonicalize(e: bt.BTerm) -> DegreeSeq:
     """Canonical degree sequence of a B-term, by folding its applications."""
-    return DegreeSeq(_runs(*_fold(e)))
+    flat, t = _fold(e)
+    return _seq(tuple(flat), t)
 
 
 def equivalent_bterms(e1: bt.BTerm, e2: bt.BTerm) -> bool:
     """Beta-eta equivalence via canonical forms."""
-    return LazyRuns(*_fold(e1)) == LazyRuns(*_fold(e2))
+    return canonicalize(e1) == canonicalize(e2)
 
 
 def monomial_degree(e: bt.BTerm) -> int | None:
     """Degree n if e is equivalent to B^n B, else None."""
-    flat, t = _fold(e)
-    if len(flat) == 2 and flat[1] == 1:
-        return flat[0] - t
-    return None
+    s = canonicalize(e)
+    return s.max_degree if s.is_monomial() else None
 
 
 def seq_to_bterm(seq: DegreeSeq) -> bt.BTerm:
@@ -317,12 +324,11 @@ def seq_of_tree(t: BinTree) -> DegreeSeq:
 
 # --- independent route through the lambda oracle -------------------------
 
-def canonical_via_lambda(e: bt.BTerm, max_steps: int | None = None) -> DegreeSeq:
+def canonical_via_lambda(e: bt.BTerm) -> DegreeSeq:
     """Canonical degree sequence computed the slow way: translate to lambda
     calculus, normalize, read the tree, read the sequence. Shares no code
     with canonicalize(), so agreement between the two is meaningful."""
     from . import lambda_oracle as lo
 
-    budget = lo.DEFAULT_BUDGET if max_steps is None else max_steps
-    nf = lo.normalize(lo.bterm_to_lambda(e), budget)
-    return DegreeSeq.from_degrees(nodes(lo.lambda_to_tree(nf)))
+    nf = lo.normalize(lo.bterm_to_lambda(e), lo.DEFAULT_BUDGET)
+    return seq_of_tree(lo.lambda_to_tree(nf))

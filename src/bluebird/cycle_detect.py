@@ -3,11 +3,11 @@
 The orbit of a B-term X is X(1) = X, X(i+1) = X(i) X. find_rho locates the
 least (entry, cycle) with canonical(X(entry)) = canonical(X(entry + cycle)),
 advancing entirely in degree-sequence space: the orbit states are
-canonical.LazyRuns, and one advance is one merge (see advance). The Brent
-search itself is cycles.search, and the answer is its cycles.RhoResult
-(re-exported here); this module adds the canonical step and the checkpoint
-file. Outside the loop (checkpoints, state_hook, iterate) a state is a
-DegreeSeq's run tuple ((degree, mult), ...).
+canonical.DegreeSeq values, and one advance is one canonical.apply_poly,
+a single merge. The Brent search itself is cycles.search, and the answer
+is its cycles.RhoResult (re-exported here); this module adds the choice of
+stepper and the checkpoint file. In checkpoints and the copies state_hook
+gets, a state is a DegreeSeq's run tuple ((degree, mult), ...).
 
 Long searches can write periodic checkpoints and resume after a hard kill.
 A checkpoint is ten lines of text:
@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import os
 import time
-from functools import partial
 from typing import Callable, Iterator, Union
 
 from . import bterm as bt
 from . import cycles, walk
-from .canonical import DegreeSeq, LazyRuns, _apply_into, canonicalize, parse_seq
+from .canonical import DegreeSeq, apply_poly, canonicalize, parse_seq
 from .cycles import RhoResult, SearchState
 from .errors import CheckpointIO, CycleNotFound, FormatVersionMismatch
 
@@ -56,19 +55,10 @@ ENGINE_NAME = "canonical"
 TermLike = Union[bt.BTerm, str]
 
 
-def advance(x: LazyRuns, state: LazyRuns) -> LazyRuns:
-    """The orbit step: canonical(X(i) X) from state = canonical(X(i)) and
-    x = canonical(X), as a copy of state's runs with x's merged in."""
-    flat = state.flat[:]
-    t = state.t
-    _apply_into(flat, x.flat, t + 1 - x.t, t)
-    return LazyRuns(flat, t + 1)
-
-
 def _as_runs(st: SearchState) -> SearchState:
     """A copy of st with run tuples for its orbit states."""
     return SearchState(st.term_text, st.algorithm, st.phase, st.step, st.m, st.candidate_c,
-                       st.slow.runs(), st.fast.runs(), st.base.runs(), st.advances,
+                       st.slow.runs, st.fast.runs, st.base.runs, st.advances,
                        st.stepper)
 
 
@@ -200,7 +190,7 @@ def find_rho(
     match.
 
     The compiled walk (walk.CStepper) makes the advances when it builds and
-    the states fit its integers, else the Python stepper over advance, in
+    the states fit its integers, else the Python stepper over apply_poly, in
     chunks of at most checkpoint_interval and 2^20 (about 30 ms compiled).
     state_hook gets a copy of the state with run tuples for slow and fast
     after every chunk (every iteration with checkpoint_interval=1; the CLI's
@@ -210,25 +200,26 @@ def find_rho(
     if isinstance(x, str):
         x = bt.parse(x)
     term_text = bt.format_bterm(x)
-    base = canonicalize(x).runs
-    first = LazyRuns.of(base)
-    f = partial(advance, first)
+    first = canonicalize(x)
+
+    def step(s: DegreeSeq) -> DegreeSeq:
+        return apply_poly(s, first)  # looked up per call, so a wrapped one is used
 
     if resume:
         if checkpoint_path is None:
             raise CheckpointIO("resume requested without a checkpoint path")
         st = load_checkpoint(checkpoint_path)
-        if st.base != base:
+        if st.base != first.runs:
             raise CheckpointIO(
                 f"checkpoint {checkpoint_path!r} is for term {st.term_text!r}, "
                 f"which does not match {term_text!r}"
             )
-        st.slow, st.fast, st.base = LazyRuns.of(st.slow), LazyRuns.of(st.fast), first
+        st.slow, st.fast, st.base = DegreeSeq(st.slow), DegreeSeq(st.fast), first
     else:
-        st = cycles.start(first, f, term_text)
+        st = cycles.start(first, step, term_text)
     lib = walk.load()
     fits = lib and walk.fits(st, max_steps)
-    stepper = walk.CStepper(lib, first) if fits else cycles.Stepper(f)
+    stepper = walk.CStepper(lib, first) if fits else cycles.Stepper(step)
     st.stepper = stepper.name
     if on_start is not None:
         on_start(st)
@@ -269,9 +260,8 @@ def iterate(x: TermLike, count: int) -> Iterator[DegreeSeq]:
         return
     if isinstance(x, str):
         x = bt.parse(x)
-    seq = canonicalize(x)
-    first = cur = LazyRuns.of(seq.runs)
+    first = seq = canonicalize(x)
     yield seq
     for _ in range(count - 1):
-        cur = advance(first, cur)
-        yield DegreeSeq(cur.runs())
+        seq = apply_poly(seq, first)
+        yield seq

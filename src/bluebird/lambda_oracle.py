@@ -209,24 +209,8 @@ def bterm_to_lambda(e: bt.BTerm) -> LambdaTerm:
     return _decode(_encode(e))
 
 
-def tree_to_lambda(t: BinTree) -> LambdaTerm:
-    """lambda x1...xk. M where M applies the k leaves of t in left-to-right order."""
-    k = t.size
-    out = [_ABS * k]
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Node):
-            out.append(_APP)
-            stack += (u.right, u.left)
-        else:
-            k -= 1
-            out.append(chr(k + 2))
-    return _decode("".join(out))
-
-
 def lambda_to_tree(t: LambdaTerm) -> BinTree:
-    """Inverse of tree_to_lambda.
+    """The application tree of t's body, one leaf per variable.
 
     Requires t to be a normal form in B-term shape: binders lambda x1...xk over
     an application tree using x1..xk exactly once each, in order. Raises

@@ -1,20 +1,22 @@
 """The compiled orbit walk: _walk.c's bb_walk behind CStepper.walk, the
-one call of a cycles.Stepper.
+one call of a cycles.Stepper, over canonical.DegreeSeq states.
 
 load() compiles _walk.c with cc on first use, into $XDG_CACHE_HOME/bluebird
 (else ~/.cache/bluebird) under a name made of the source's CRC-32 and
-length, and loads it with ctypes, imported only then; it returns None when
-there is no compiler, the cache cannot be written or the library fails.
+length, removes the libraries of other sources from there, and loads it
+with ctypes, imported only then; it returns None when there is no
+compiler, the cache cannot be written or the library fails.
 """
 
 from __future__ import annotations
 
 import functools
+import glob
 import os
 import zlib
 
 from . import cycles
-from .canonical import LazyRuns
+from .canonical import DegreeSeq, _seq
 from .cycles import SearchState
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
@@ -43,6 +45,12 @@ def load():
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
+            for old in glob.glob(os.path.join(glob.escape(cache), "walk-*.so")):
+                if old != path:
+                    try:
+                        os.remove(old)  # a process that loaded it keeps its mapping
+                    except OSError:
+                        pass
         lib = ctypes.CDLL(path)
     except (OSError, subprocess.CalledProcessError):
         return None
@@ -56,18 +64,18 @@ def fits(st: SearchState, max_steps: int) -> bool:
     """Whether stored numbers stay below LIMIT for max_steps more advances of
     each pointer of st: an advance adds one to the offset and at most the base's
     units to the units, and a merged degree is at most base top + t + units + 1."""
-    grow = st.base.flat[0] + max_steps * (1 + st.base.units())
-    return all(s.flat[0] + s.t + s.units() + grow < LIMIT for s in (st.slow, st.fast, st.base))
+    grow = st.base.flat[0] + max_steps * (1 + len(st.base))
+    return all(s.flat[0] + s.t + len(s) + grow < LIMIT for s in (st.slow, st.fast, st.base))
 
 
 class CStepper(cycles.Stepper):
     """Stepper.walk run by the compiled walk over one base. States stay
-    LazyRuns between calls; a call copies them into two persistent buffers
+    DegreeSeqs between calls; a call copies them into two persistent buffers
     [n, t, D0, m0, ...] and back out, O(runs) per call."""
 
     name = "c"
 
-    def __init__(self, lib, base: LazyRuns, cap: int = 1024) -> None:
+    def __init__(self, lib, base: DegreeSeq, cap: int = 1024) -> None:
         import ctypes
 
         self.lib, self.int64 = lib, ctypes.c_int64
@@ -92,8 +100,8 @@ class CStepper(cycles.Stepper):
             status = self.lib.bb_walk(x, None if b is None else y, both, self.base, cap,
                                       k - n, self.made)
             n += self.made.value
-            a = LazyRuns(x[2:x[0] + 2], x[1])
+            a = _seq(tuple(x[2:x[0] + 2]), x[1])
             if both:
-                b = LazyRuns(y[2:y[0] + 2], y[1])
+                b = _seq(tuple(y[2:y[0] + 2]), y[1])
             if status >= 0:
                 return a, b, n, status == 1

@@ -9,10 +9,11 @@ from hypothesis import strategies as hs
 from bluebird import cycle_detect, walk
 from bluebird import lambda_oracle as lo
 from bluebird.bterm import App, B, BTerm, parse
-from bluebird.canonical import DegreeSeq, LazyRuns, Runs, canonicalize, raise_runs
+from bluebird.canonical import DegreeSeq, Runs, canonicalize, raise_runs
 from bluebird.cycles import floyd_rho
 from bluebird.errors import StepBudgetExceeded
 from bluebird.restricted import RApp, RConst
+from bluebird.trees import BinTree, Node
 
 
 @lru_cache(maxsize=None)
@@ -120,10 +121,10 @@ def brute_rho(x: BTerm, limit: int) -> tuple[int, int]:
 
 def floyd_canonical(text: str) -> tuple[int, int]:
     """(entry, cycle) of the orbit of the term text by cycles.floyd_rho over
-    cycle_detect.advance: a route to find_rho's answer that shares no code
-    with its Brent search."""
-    first = LazyRuns.of(canonicalize(parse(text)).runs)
-    return tuple(floyd_rho(first, lambda state: cycle_detect.advance(first, state)))
+    cycle_detect.apply_poly: a route to find_rho's answer that shares no
+    code with its Brent search."""
+    first = canonicalize(parse(text))
+    return tuple(floyd_rho(first, lambda state: cycle_detect.apply_poly(state, first)))
 
 
 def decreasing_seqs(max_entries: int, max_degree: int) -> list[DegreeSeq]:
@@ -133,6 +134,24 @@ def decreasing_seqs(max_entries: int, max_degree: int) -> list[DegreeSeq]:
     for n in range(1, max_entries + 1):
         for combo in combinations_with_replacement(range(max_degree + 1), n):
             out.append(DegreeSeq.from_degrees(sorted(combo, reverse=True)))
+    return out
+
+
+def tree_to_lambda(t: BinTree) -> lo.LambdaTerm:
+    """lambda x1...xk. M where M applies the k leaves of t in left-to-right
+    order, built from lambda_oracle's public constructors: the inverse of
+    lo.lambda_to_tree. It recurses on tree depth, so keep its inputs
+    shallow."""
+    index = iter(range(t.size - 1, -1, -1))  # x1 sits under all k binders
+
+    def body(u):
+        if isinstance(u, Node):
+            return lo.App(body(u.left), body(u.right))  # left leaves first
+        return lo.Var(next(index))
+
+    out = body(t)
+    for _ in range(t.size):
+        out = lo.Abs(out)
     return out
 
 

@@ -107,12 +107,12 @@ def test_search_core_entry_points():
 ])
 def test_floyd_rho_advance_counts(text, want, calls):
     # the traced lambda-b3 run reports these calls as cycles.floyd_advances
-    first = bb.canonical.LazyRuns.of(bb.canonicalize(bb.parse(text)).runs)
+    first = bb.canonicalize(bb.parse(text))
     n = [0]
 
     def f(state):
         n[0] += 1
-        return bb.cycle_detect.advance(first, state)
+        return bb.apply_poly(state, first)
 
     assert bb.cycles.floyd_rho(first, f) == want
     assert n[0] == calls

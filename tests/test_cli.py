@@ -16,7 +16,7 @@ from bluebird import bterm as bt
 from bluebird import cli, cycle_detect, walk
 from bluebird.antirho import example_antirho_term
 from bluebird.cli import main
-from bluebird.cycle_detect import advance
+from bluebird.canonical import apply_poly
 
 
 def run(capsys, *argv):
@@ -107,12 +107,12 @@ class TestRho:
         # least 500 advances more than the one before, and the first too
         calls = [0]
 
-        def counted(x, state):
+        def counted(state, x):
             calls[0] += 1
-            return advance(x, state)
+            return apply_poly(state, x)
 
-        monkeypatch.setattr(cycle_detect, "advance", counted)
-        monkeypatch.setattr(walk, "load", lambda: None)  # the compiled walk calls no advance
+        monkeypatch.setattr(cycle_detect, "apply_poly", counted)
+        monkeypatch.setattr(walk, "load", lambda: None)  # the compiled walk calls no apply_poly
         monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: calls[0] * 0.002))
         code, out, err = run(capsys, "rho", "--progress", "--max-steps", "2000", "B^4 B")
         assert (code, out) == (3, "")
@@ -132,13 +132,13 @@ class TestRho:
     def test_interrupt_saves_checkpoint_and_exits_130(self, capsys, monkeypatch, tmp_path):
         calls = [0]
 
-        def interrupted(x, state):
+        def interrupted(state, x):
             calls[0] += 1
             if calls[0] == 500:
                 raise KeyboardInterrupt
-            return advance(x, state)
+            return apply_poly(state, x)
 
-        monkeypatch.setattr(cycle_detect, "advance", interrupted)
+        monkeypatch.setattr(cycle_detect, "apply_poly", interrupted)
         monkeypatch.setattr(walk, "load", lambda: None)
         path = str(tmp_path / "ck")
         code, out, err = run(capsys, "rho", "--checkpoint", path, "B^2 B")

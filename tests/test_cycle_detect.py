@@ -9,11 +9,10 @@ from hypothesis import strategies as hs
 
 from bluebird import bterm as bt
 from bluebird import cycle_detect, lambda_oracle, walk
-from bluebird.canonical import DegreeSeq, LazyRuns, canonicalize, seq_to_bterm
+from bluebird.canonical import DegreeSeq, apply_poly, canonicalize, seq_to_bterm
 from bluebird.cycle_detect import (
     RhoResult,
     SearchState,
-    advance,
     find_rho,
     iterate,
     load_checkpoint,
@@ -108,14 +107,14 @@ def test_lazy_states_match_the_eager_kernel(runs, stop, more):
     assert [s.runs for s in iterate(x, steps)] == orbit[1:steps + 1]
 
     # equality across offsets: states of one walk, and fresh ones at offset 0
-    first = lazy = LazyRuns.of(runs)
-    walk = [None, lazy]
+    first = state = DegreeSeq(runs)
+    walk = [None, state]
     for _ in range(steps - 1):
-        lazy = advance(first, lazy)
-        walk.append(lazy)
-    assert [s.units() for s in walk[1:]] == [len(DegreeSeq(s)) for s in orbit[1:steps + 1]]
+        state = apply_poly(state, first)
+        walk.append(state)
+    assert [len(s) for s in walk[1:]] == [len(DegreeSeq(s)) for s in orbit[1:steps + 1]]
     for i in range(1, steps + 1):
-        fresh = LazyRuns.of(orbit[i])
+        fresh = DegreeSeq(orbit[i])
         for j in range(i, steps + 1):
             assert (walk[i] == walk[j]) == (orbit[i] == orbit[j])
             assert (fresh == walk[j]) == (orbit[i] == orbit[j])
@@ -344,15 +343,15 @@ class TestKillResume:
         # both phases, at every anchor move and at the phase switch, and
         # between the advances of one phase-2 iteration. On the Python
         # stepper the counting step checks that every advance the searches
-        # report went through cycle_detect.advance; the compiled walk makes
+        # report went through cycle_detect.apply_poly; the compiled walk makes
         # them without it.
         calls, states = [0], []
 
-        def counted(x, state):
+        def counted(state, x):
             calls[0] += 1
-            return advance(x, state)
+            return apply_poly(state, x)
 
-        monkeypatch.setattr(cycle_detect, "advance", counted)
+        monkeypatch.setattr(cycle_detect, "apply_poly", counted)
         path = str(tmp_path / "ck")
         for budget in range(2, 1101):
             try:
@@ -378,18 +377,18 @@ class TestKillResume:
         for n in range(2, 1101):
             calls = [0]
 
-            def interrupted(x, state):
+            def interrupted(state, x):
                 calls[0] += 1
                 if calls[0] == n:
                     raise KeyboardInterrupt
-                return advance(x, state)
+                return apply_poly(state, x)
 
-            monkeypatch.setattr(cycle_detect, "advance", interrupted)
+            monkeypatch.setattr(cycle_detect, "apply_poly", interrupted)
             try:
                 r = find_rho("B^2 B", checkpoint_path=path)
             except KeyboardInterrupt:
                 interrupts += 1
-                monkeypatch.setattr(cycle_detect, "advance", advance)
+                monkeypatch.setattr(cycle_detect, "apply_poly", apply_poly)
                 r = find_rho("B^2 B", checkpoint_path=path, resume=True)
             assert (n, tuple(r)) == (n, (258, 36))
             assert not os.path.exists(path)

@@ -1,10 +1,13 @@
 """Direct application on canonical forms, checked against full canonicalization."""
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bluebird import bterm as bt
 from bluebird.canonical import (
+    DegreeSeq,
     apply_poly,
     apply_runs,
     canonical_via_lambda,
@@ -71,3 +74,27 @@ _RUNS = hs.dictionaries(hs.integers(0, 12), hs.integers(1, 4), min_size=1, max_s
 @given(_RUNS, _RUNS)
 def test_apply_runs_matches_the_eager_kernel(a, b):
     assert apply_runs(a, raise_runs(b)) == eager_apply_runs(a, raise_runs(b))
+
+
+@settings(deadline=None, max_examples=150)
+@given(hs.lists(_RUNS, min_size=1, max_size=3),
+       hs.lists(hs.tuples(hs.integers(0, 20), hs.integers(0, 20)), max_size=8))
+def test_degree_seq_is_a_value_whatever_its_offset(starts, picks):
+    # a chain of apply_poly over a growing pool of states, whose offsets
+    # differ, mirrored on run tuples by the eager kernel
+    pool, eager = [DegreeSeq(r) for r in starts], list(starts)
+    for i, j in picks:
+        i, j = i % len(pool), j % len(pool)
+        a, b = pool[i], pool[j]
+        kept = (a.flat, a.t, b.flat, b.t)
+        pool.append(apply_poly(a, b))
+        assert (a.flat, a.t, b.flat, b.t) == kept
+        eager.append(eager_apply_runs(eager[i], raise_runs(eager[j])))
+    for s, runs in zip(pool, eager):
+        fresh = DegreeSeq(s.runs)
+        assert s.runs == runs
+        assert s == fresh and hash(s) == hash(fresh)
+        assert repr(s) == f"DegreeSeq(runs={s.runs!r})"
+        assert pickle.loads(pickle.dumps(s)) == s
+    for a in pool:
+        assert [a == b for b in pool] == [a.runs == b.runs for b in pool]

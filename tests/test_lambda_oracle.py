@@ -10,7 +10,7 @@ from bluebird.errors import CycleNotFound, StepBudgetExceeded
 from bluebird.lambda_oracle import Abs, App, Var
 from bluebird.trees import LEAF, Node, split_spine
 
-from .support import bterm_strategy, bterms_up_to, reference_normalize
+from .support import bterm_strategy, bterms_up_to, reference_normalize, tree_to_lambda
 
 
 def test_normalize_is_idempotent():
@@ -62,7 +62,7 @@ def test_tree_lambda_roundtrip_exhaustive():
 
     for seq in decreasing_seqs(4, 4):
         t = tree_of(seq)
-        back = lo.lambda_to_tree(lo.tree_to_lambda(t))
+        back = lo.lambda_to_tree(tree_to_lambda(t))
         assert tree_equal(back, t)
 
 
@@ -71,7 +71,7 @@ def test_bterm_images_normalize_to_tree_images():
     from bluebird.canonical import canonicalize, tree_of
 
     for t in bterms_up_to(6):
-        via_tree = lo.tree_to_lambda(tree_of(canonicalize(t)))
+        via_tree = tree_to_lambda(tree_of(canonicalize(t)))
         assert lo.normalize(lo.bterm_to_lambda(t)) == lo.normalize(via_tree)
 
 
@@ -151,7 +151,7 @@ trees = hs.recursive(hs.just(LEAF), lambda sub: hs.builds(Node, sub, sub), max_l
 
 @given(trees)
 def test_tree_lambda_roundtrip_sampled(t):
-    assert lo.lambda_to_tree(lo.tree_to_lambda(t)) == t
+    assert lo.lambda_to_tree(tree_to_lambda(t)) == t
 
 
 def test_deep_terms():

@@ -4,7 +4,7 @@ import importlib.resources
 import os
 import subprocess
 import sys
-from functools import partial
+import zlib
 from pathlib import Path
 
 import pytest
@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import bluebird
-from bluebird import cycle_detect, cycles, walk
+from bluebird import cycles, walk
 from bluebird.bterm import parse
-from bluebird.canonical import LazyRuns, canonicalize
+from bluebird.canonical import apply_poly, canonicalize
 from bluebird.cycle_detect import find_rho
 from bluebird.errors import CycleNotFound
 
@@ -60,8 +60,11 @@ def test_interrupt_at_every_tick_resumes(lib, tmp_path):
 def _pair(x, cap):
     """Fresh searches over the orbit of x with the Python stepper and with
     a compiled one whose buffers start at cap ints."""
-    first = LazyRuns.of(canonicalize(x).runs)
-    f = partial(cycle_detect.advance, first)
+    first = canonicalize(x)
+
+    def f(state):
+        return apply_poly(state, first)
+
     return [(cycles.start(first, f), cycles.Stepper(f)),
             (cycles.start(first, f), walk.CStepper(walk.load(), first, cap))]
 
@@ -69,7 +72,7 @@ def _pair(x, cap):
 def _same_position(a, b):
     assert (a.phase, a.step, a.advances, a.candidate_c) == (b.phase, b.step, b.advances,
                                                             b.candidate_c)
-    assert (a.slow.runs(), a.fast.runs()) == (b.slow.runs(), b.fast.runs())
+    assert (a.slow.runs, a.fast.runs) == (b.slow.runs, b.fast.runs)
 
 
 @settings(deadline=None, max_examples=80)
@@ -115,6 +118,21 @@ def test_python_stepper_without_a_compiler(tmp_path):
                           env=env, timeout=300)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(4240, 5796) py\n", "")
     assert not list(tmp_path.rglob("*.so"))
+
+
+def test_a_build_removes_stale_libraries(lib, tmp_path, monkeypatch):
+    # a library of another _walk.c in the cache goes once the current one is built
+    cache = tmp_path / "bluebird"
+    cache.mkdir()
+    (cache / "walk-00000000-1.so").write_bytes(b"")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    src = Path(walk.SOURCE).read_bytes()
+    walk.load.cache_clear()
+    try:
+        assert walk.load() is not None
+    finally:
+        walk.load.cache_clear()
+    assert [p.name for p in cache.iterdir()] == [f"walk-{zlib.crc32(src):08x}-{len(src)}.so"]
 
 
 def test_walk_source_ships_with_the_package():

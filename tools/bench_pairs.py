@@ -6,7 +6,9 @@
 
 Each pair runs `bench/run.py --trace 0` once in the base checkout and once
 in this one, with the same seed; the side that goes first alternates from
-pair to pair, so a drift in machine speed falls on both sides alike. The
+pair to pair, so a drift in machine speed falls on both sides alike. Every
+run writes its bytecode under a fresh, empty PYTHONPYCACHEPREFIX, so
+neither side reads a leftover __pycache__ and both compile alike. The
 output holds, per workload and end-to-end metric, the value of every pair,
 each side's median and quartiles, and how many pairs this checkout won
 (a lower value wins); a rerun replaces only the workloads it runs. With
@@ -23,6 +25,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,7 +34,10 @@ ROOT = Path(__file__).resolve().parents[1]
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    with tempfile.TemporaryDirectory() as pycache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                              check=False)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"{checkout}: {workload} seed {seed} printed no result:\n{proc.stderr}")
