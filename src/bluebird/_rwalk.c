@@ -1,0 +1,217 @@
+/* restricted's orbit walk, cycles.Stepper.walk in C over the tables of
+   RestrictedEngine.app. Node i is the pair node[2i], node[2i + 1]: (-1, k)
+   is the constant Const(k), else the normal application fn arg. One
+   open-addressing table (linear probing, at most 3/4 full) maps an
+   application pair to the id of its normal form; app is
+   RestrictedEngine.app with its pending list as an explicit stack of
+   frames over a stack of argument ids. rr_new starts from a copy of the
+   Python engine's tables, so ids, contraction counts and node counts agree
+   with it exactly. rr_walk sets made[0..2] to the advances made, the
+   contractions and the nodes, and returns 1 on equal states, 0 after k
+   advances, -1 past the contraction budget and -2 when memory or the
+   32-bit ids run out. */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+#include <sys/mman.h>
+
+#define BUDGET (-1)
+#define NOMEM (-2)
+
+typedef struct { int32_t fn, arg, out; } slot;  /* out < 0: empty */
+
+/* a contraction under way: pair fn arg is the redex; its n arguments
+   a1 ... an sit at args[at...], and next is the index of the next piece */
+typedef struct { int32_t fn, arg; int64_t at, n, next; } frame;
+
+typedef struct {
+    int32_t *node;
+    int64_t nodes, node_cap;
+    slot *tab;
+    int64_t used, cap, shift;  /* cap = 2^(64 - shift) slots */
+    int32_t *args;
+    int64_t nargs, args_cap;
+    frame *pend;
+    int64_t npend, pend_cap;
+    int64_t steps, max_steps, base;
+} tables;
+
+static slot *find(const tables *t, int32_t fn, int32_t arg)
+{
+    uint64_t key = (uint64_t)(uint32_t)fn << 32 | (uint32_t)arg;
+    uint64_t i = key * 0x9E3779B97F4A7C15u >> t->shift, mask = (uint64_t)t->cap - 1;
+    slot *s;
+    while ((s = t->tab + i)->out >= 0 && (s->fn != fn || s->arg != arg))
+        i = (i + 1) & mask;
+    return s;
+}
+
+/* the table is mapped and unmapped directly: from malloc, a search after
+   the first would keep freed pieces of the smaller tables resident, about
+   30 MB more at degree 4 */
+static int new_table(tables *t, int64_t cap, int64_t shift)
+{
+    size_t size = (size_t)cap * sizeof(slot);
+    slot *tab = mmap(NULL, size, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (tab == MAP_FAILED) return -1;
+    memset(tab, 0xff, size);
+    t->tab = tab; t->cap = cap; t->shift = shift;
+    return 0;
+}
+
+/* fill the empty slot s = find(t, fn, arg), doubling the table first when
+   one more entry would make it more than 3/4 full */
+static int add(tables *t, slot *s, int32_t fn, int32_t arg, int32_t out)
+{
+    if (4 * (t->used + 1) > 3 * t->cap) {
+        slot *old = t->tab, *o;
+        if (new_table(t, 2 * t->cap, t->shift - 1)) return -1;
+        for (o = old; o < old + t->cap / 2; o++)
+            if (o->out >= 0) *find(t, o->fn, o->arg) = *o;
+        munmap(old, (size_t)t->cap / 2 * sizeof *old);
+        s = find(t, fn, arg);
+    }
+    t->used++;
+    s->fn = fn; s->arg = arg; s->out = out;
+    return 0;
+}
+
+/* room for need items of size bytes in *p, which holds *cap */
+static int reserve(void **p, int64_t *cap, int64_t need, size_t size)
+{
+    int64_t c = *cap ? *cap : 64;
+    void *q;
+    if (need <= *cap) return 0;
+    while (c < need) c *= 2;
+    if (!(q = realloc(*p, (size_t)c * size))) return -1;
+    *p = q; *cap = c;
+    return 0;
+}
+
+static int push(tables *t, int32_t a)
+{
+    if (reserve((void **)&t->args, &t->args_cap, t->nargs + 1, sizeof *t->args)) return -1;
+    t->args[t->nargs++] = a;
+    return 0;
+}
+
+/* the id of the normal form of fn arg, or BUDGET or NOMEM */
+static int64_t app(tables *t, int32_t fn, int32_t arg)
+{
+    int64_t out;
+    for (;;) {
+        slot *s = find(t, fn, arg);
+        if (s->out >= 0) out = s->out;
+        else {
+            /* arg, then fn's spine; the last value pushed is its head's k */
+            int64_t at = t->nargs, n, k;
+            int32_t head = fn, a = arg;
+            for (;;) {
+                if (push(t, a)) return NOMEM;
+                if (head < 0) break;
+                a = t->node[2 * head + 1];
+                head = t->node[2 * head];
+            }
+            k = t->args[--t->nargs];
+            n = t->nargs - at;
+            if (n < k + 3) {
+                t->nargs = at;
+                if (t->nodes == INT32_MAX
+                    || reserve((void **)&t->node, &t->node_cap, 2 * t->nodes + 2,
+                               sizeof *t->node))
+                    return NOMEM;
+                t->node[2 * t->nodes] = fn;
+                t->node[2 * t->nodes + 1] = arg;
+                out = t->nodes++;
+                if (add(t, s, fn, arg, (int32_t)out)) return NOMEM;
+            } else {
+                int32_t *lo = t->args + at, *hi = lo + n - 1, x;
+                if (++t->steps > t->max_steps) return BUDGET;
+                for (; lo < hi; lo++, hi--) { x = *lo; *lo = *hi; *hi = x; }
+                if (reserve((void **)&t->pend, &t->pend_cap, t->npend + 1, sizeof *t->pend))
+                    return NOMEM;
+                t->pend[t->npend++] = (frame){fn, arg, at, n, 3};
+                fn = t->args[at + 1];
+                arg = t->args[at + 2];
+                continue;
+            }
+        }
+        /* out is the next piece of the innermost contraction: a1 (a2 ... an)
+           is built as a2 a3, then applied to a4 ... an, then a1 applied to it */
+        for (;;) {
+            frame *f;
+            if (!t->npend) return out;
+            f = t->pend + t->npend - 1;
+            if (f->next <= f->n) {
+                int32_t *a = t->args + f->at;
+                if (f->next < f->n) { fn = (int32_t)out; arg = a[f->next]; }
+                else { fn = a[0]; arg = (int32_t)out; }
+                f->next++;
+                break;
+            }
+            s = find(t, f->fn, f->arg);
+            if (s->out >= 0) s->out = (int32_t)out;
+            else if (add(t, s, f->fn, f->arg, (int32_t)out)) return NOMEM;
+            t->nargs = f->at;
+            t->npend--;
+        }
+    }
+}
+
+void rr_free(tables *t)
+{
+    if (!t) return;
+    if (t->tab) munmap(t->tab, (size_t)t->cap * sizeof *t->tab);
+    free(t->node); free(t->args); free(t->pend);
+    free(t);
+}
+
+/* tables holding n nodes node[0..2n) and m entries pairs[3j] pairs[3j + 1]
+   -> pairs[3j + 2], with steps contractions made of max_steps; NULL when
+   memory runs out */
+tables *rr_new(const int64_t *node, int64_t n, const int64_t *pairs, int64_t m,
+               int64_t base, int64_t steps, int64_t max_steps)
+{
+    tables *t = calloc(1, sizeof *t);
+    int64_t cap = 1024, shift = 54;
+    if (!t) return NULL;
+    while (4 * m > 3 * cap) { cap *= 2; shift--; }
+    if (new_table(t, cap, shift)
+        || reserve((void **)&t->node, &t->node_cap, 2 * n, sizeof *t->node)) {
+        rr_free(t);
+        return NULL;
+    }
+    for (int64_t i = 0; i < 2 * n; i++) t->node[i] = (int32_t)node[i];
+    for (int64_t j = 0; j < 3 * m; j += 3) {
+        slot *s = find(t, (int32_t)pairs[j], (int32_t)pairs[j + 1]);
+        *s = (slot){(int32_t)pairs[j], (int32_t)pairs[j + 1], (int32_t)pairs[j + 2]};
+    }
+    t->nodes = n; t->used = m;
+    t->steps = steps; t->max_steps = max_steps; t->base = base;
+    return t;
+}
+
+/* cycles.Stepper.walk: advance x, and y too when both is set, up to k
+   times by one application to the base, stopping at the first x equal to
+   y (never when y is NULL) */
+int rr_walk(tables *t, int64_t *x, int64_t *y, int both, int64_t k, int64_t *made)
+{
+    int64_t i = 0, a = 0;
+    int hit = 0;
+    for (; i < k && !hit; i++) {
+        if ((a = app(t, (int32_t)*x, (int32_t)t->base)) < 0) break;
+        *x = a;
+        if (both) {
+            if ((a = app(t, (int32_t)*y, (int32_t)t->base)) < 0) break;
+            *y = a;
+        }
+        hit = y && *x == *y;
+    }
+    made[0] = i; made[1] = t->steps; made[2] = t->nodes;
+    if (a < 0) {
+        t->nargs = t->npend = 0;
+        return (int)a;
+    }
+    return hit;
+}

@@ -16,18 +16,24 @@ forms compare in O(1) and the cycle searches from cycles.py run directly on
 ids. One table maps each application pair to its normal form. Budgets and
 tables live on the engine instance; use one engine per search when
 isolation matters.
+
+find_rho_restricted walks its orbit in C when it can: CStepper runs
+_rwalk.c, the same app over a copy of the engine's tables (walk.load
+builds it), and frees that copy when the search ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 from . import bterm as bt
-from . import cycles
+from . import cycles, walk
 from .errors import StepBudgetExceeded
 
 MAX_CONTRACTIONS = 10**7  # default contraction budget of every restricted entry point
+LIMIT = 2**31 - 1  # bound on every id and constant of the compiled walk
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,6 +178,58 @@ def rnormalize(t: RTerm, max_steps: int = MAX_CONTRACTIONS) -> RTerm:
     return eng.extern(eng.intern(t))
 
 
+def fits(eng: RestrictedEngine) -> bool:
+    """Whether eng's node count and constants stay below LIMIT, so that the
+    compiled walk's 32-bit ints hold them."""
+    return len(eng._node) < LIMIT and all(k < LIMIT for fn, k in eng._node if fn < 0)
+
+
+class CStepper(cycles.Stepper):
+    """Stepper.walk over the orbit step eng.app(i, base), run by _rwalk.c on
+    a copy of eng's tables that lives until close; eng.steps follows the
+    copy's contractions, and counts holds the advances of the last call,
+    the contractions and the nodes."""
+
+    name = "c"
+
+    def __init__(self, lib, eng: RestrictedEngine, base: int) -> None:
+        import ctypes
+        from array import array
+
+        int64 = ctypes.c_int64
+
+        def ints(values):
+            buf = array("q", values)
+            return (int64 * len(buf)).from_buffer(buf)
+
+        self.lib, self.eng = lib, eng
+        self.x, self.y, self.counts = int64(), int64(), (int64 * 3)()
+        self.tables = lib.rr_new(
+            ints(chain.from_iterable(eng._node)), len(eng._node),
+            ints(chain.from_iterable((*key, i) for key, i in eng._apps.items())),
+            len(eng._apps), base, eng.steps, max(-1, min(eng.max_steps, 2**63 - 1)))
+        if not self.tables:
+            raise MemoryError("no memory for the restricted tables")
+
+    def walk(self, a, b, k, both):
+        self.x.value = a
+        if b is not None:
+            self.y.value = b
+        status = self.lib.rr_walk(self.tables, self.x, None if b is None else self.y,
+                                  both, k, self.counts)
+        self.eng.steps = self.counts[1]
+        if status == -1:
+            raise StepBudgetExceeded(self.eng.max_steps)
+        if status == -2:
+            raise MemoryError("no memory or ids left for the restricted tables")
+        return self.x.value, None if b is None else self.y.value, self.counts[0], status == 1
+
+    def close(self) -> None:
+        """Free the tables; idempotent."""
+        self.lib.rr_free(self.tables)
+        self.tables = None
+
+
 def find_rho_restricted(
     x: RTerm | str,
     algorithm: str = "brent",
@@ -181,11 +239,27 @@ def find_rho_restricted(
     """Least (entry, cycle) of the self-application orbit of x under the
     restricted rule, comparing normal forms syntactically. max_steps bounds
     orbit advances, rewrite_budget bounds total contractions. The search is
-    Brent's; algorithm accepts only "brent"."""
+    Brent's; algorithm accepts only "brent".
+
+    The compiled walk (CStepper) makes the advances when it builds and the
+    base's tables fit its ints, else the Python stepper over
+    RestrictedEngine.app, in chunks of at most 2^20 advances per pointer
+    (about 0.6 s compiled on degree 4), so that a Ctrl-C lands between
+    them."""
     if algorithm != "brent":
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if isinstance(x, str):
         x = parse_rterm(x)
     eng = RestrictedEngine(rewrite_budget)
     base = eng.intern(x)
-    return cycles.brent_rho(base, lambda i: eng.app(i, base), max_steps)
+    lib = walk.load(walk.RSOURCE)
+    if lib and fits(eng):
+        stepper = CStepper(lib, eng, base)
+    else:
+        stepper = cycles.Stepper(lambda i: eng.app(i, base))
+    try:  # the first advance goes through the stepper too, so every app lands in its tables
+        st = cycles.start(base, lambda i: stepper.walk(i, None, 1, False)[0])
+        return cycles.search(st, stepper, max_steps, chunk=1 << 20)
+    finally:
+        if isinstance(stepper, CStepper):
+            stepper.close()

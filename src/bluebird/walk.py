@@ -1,11 +1,13 @@
-"""The compiled orbit walk: _walk.c's bb_walk behind CStepper.walk, the
-one call of a cycles.Stepper, over canonical.DegreeSeq states.
+"""The compiled orbit walks: _walk.c's bb_walk behind CStepper.walk, the
+one call of a cycles.Stepper, over canonical.DegreeSeq states, and the
+library of _rwalk.c, which restricted.CStepper drives.
 
-load() compiles _walk.c with cc on first use, into $XDG_CACHE_HOME/bluebird
-(else ~/.cache/bluebird) under a name made of the source's CRC-32 and
-length, removes the libraries of other sources from there, and loads it
-with ctypes, imported only then; it returns None when there is no
-compiler, the cache cannot be written or the library fails.
+load(source) compiles a C source with cc on first use, into
+$XDG_CACHE_HOME/bluebird (else ~/.cache/bluebird) under a name made of the
+source's own name, CRC-32 and length, removes the libraries of earlier
+versions of that source from there, and loads it with ctypes, imported
+only then; it returns None when there is no compiler, the cache cannot be
+written or the library fails.
 """
 
 from __future__ import annotations
@@ -20,32 +22,34 @@ from .canonical import DegreeSeq, _seq
 from .cycles import SearchState
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
+RSOURCE = os.path.join(os.path.dirname(SOURCE), "_rwalk.c")
 LIMIT = 1 << 62  # bound on every stored degree and multiplicity
 
 
 @functools.cache
-def load():
-    """The loaded library, or None."""
+def load(source: str = SOURCE):
+    """The loaded library of source, SOURCE or RSOURCE, or None."""
     import ctypes
     import subprocess
 
+    name = os.path.basename(source)[1:-2]  # "walk" for _walk.c: no prefix is another's
     try:
-        with open(SOURCE, "rb") as fh:
+        with open(source, "rb") as fh:
             src = fh.read()
         cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
                              or os.path.expanduser("~/.cache"), "bluebird")
-        path = os.path.join(cache, f"walk-{zlib.crc32(src):08x}-{len(src)}.so")
+        path = os.path.join(cache, f"{name}-{zlib.crc32(src):08x}-{len(src)}.so")
         if not os.path.exists(path):
             os.makedirs(cache, exist_ok=True)
             tmp = f"{path}.{os.getpid()}.tmp"
             try:
-                subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, SOURCE],
+                subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source],
                                check=True, capture_output=True)
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
-            for old in glob.glob(os.path.join(glob.escape(cache), "walk-*.so")):
+            for old in glob.glob(os.path.join(glob.escape(cache), f"{name}-*.so")):
                 if old != path:
                     try:
                         os.remove(old)  # a process that loaded it keeps its mapping
@@ -54,9 +58,17 @@ def load():
         lib = ctypes.CDLL(path)
     except (OSError, subprocess.CalledProcessError):
         return None
-    ptr, int64 = ctypes.POINTER(ctypes.c_int64), ctypes.c_int64
-    lib.bb_walk.argtypes = [ptr, ptr, ctypes.c_int, ptr, int64, int64, ptr]
-    lib.bb_walk.restype = ctypes.c_int
+    ptr, int64, tables = ctypes.POINTER(ctypes.c_int64), ctypes.c_int64, ctypes.c_void_p
+    if source == SOURCE:
+        lib.bb_walk.argtypes = [ptr, ptr, ctypes.c_int, ptr, int64, int64, ptr]
+        lib.bb_walk.restype = ctypes.c_int
+    else:
+        lib.rr_new.argtypes = [ptr, int64, ptr, int64, int64, int64, int64]
+        lib.rr_new.restype = tables
+        lib.rr_walk.argtypes = [tables, ptr, ptr, ctypes.c_int, int64, ptr]
+        lib.rr_walk.restype = ctypes.c_int
+        lib.rr_free.argtypes = [tables]
+        lib.rr_free.restype = None
     return lib
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import bluebird
 from bluebird import bterm as bt
-from bluebird import cli, cycle_detect, walk
+from bluebird import cli, cycle_detect, restricted, walk
 from bluebird.antirho import example_antirho_term
 from bluebird.cli import main
 from bluebird.canonical import apply_poly
@@ -78,6 +78,21 @@ class TestRho:
     def test_restricted_engine(self, capsys):
         code, out, _ = run(capsys, "rho", "--engine", "restricted", "B B")
         assert (code, out) == (0, "rho = (36, 20)\n")
+
+    def test_restricted_constants_past_32_bits_run_in_python(self, capsys, monkeypatch):
+        # B^(2^62) does not fit the compiled walk's 32-bit ints, so the
+        # Python stepper runs the search and the budget stops it
+        fits, real = [], restricted.fits
+        monkeypatch.setattr(restricted, "fits", lambda eng: fits.append(real(eng)) or fits[-1])
+        code, out, err = run(capsys, "rho", "--engine", "restricted", "--max-steps", "10",
+                             "B^4611686018427387904 B")
+        assert (code, out, err) == (3, "", "error: no cycle found within 10 steps\n")
+        assert True not in fits
+        eng = restricted.RestrictedEngine()
+        eng.intern(restricted.RConst(2**31 - 2))
+        assert real(eng)
+        eng.intern(restricted.RConst(2**31 - 1))
+        assert not real(eng)
 
     def test_budget_exhaustion_exit_three(self, capsys):
         code, out, err = run(capsys, "rho", "--max-steps", "5", "B^2 B")

@@ -1,13 +1,15 @@
 """The restricted rewriting variant: head constants of every arity."""
 
 import inspect
+import os
 from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from bluebird.errors import ParseError, StepBudgetExceeded
+from bluebird import cycles, restricted, walk
+from bluebird.errors import CycleNotFound, ParseError, StepBudgetExceeded
 from bluebird.restricted import (
     MAX_CONTRACTIONS,
     RApp,
@@ -202,3 +204,89 @@ def test_deep_text_and_terms():
     assert repr(t) == f"RApp<{text}>"
     assert t != parse_rterm("B (" * n + "B^3 B" + ")" * n)
     assert repr(RApp(RConst(2), RConst(0))) == "RApp<B^2 B>"
+
+
+@pytest.fixture
+def lib():
+    lib = walk.load(walk.RSOURCE)
+    if lib is None:
+        pytest.skip("no C compiler to build the compiled restricted walk")
+    return lib
+
+
+@pytest.fixture(params=["c", "py"])
+def route(request):
+    """Runs a test once on the compiled restricted walk and once on the
+    Python stepper."""
+    if request.param == "c" and walk.load(walk.RSOURCE) is None:
+        pytest.skip("no C compiler to build the compiled restricted walk")
+    return request.param
+
+
+def _search(t, max_steps, budget, route, chunk=1 << 20):
+    """find_rho_restricted's search of t on one stepper, "c" or "py": its
+    RhoResult or exception class, the contractions and the nodes."""
+    eng = RestrictedEngine(budget)
+    base = eng.intern(t)
+    if route == "c":
+        stepper = restricted.CStepper(walk.load(walk.RSOURCE), eng, base)
+    else:
+        stepper = cycles.Stepper(lambda i: eng.app(i, base))
+    try:
+        st = cycles.start(base, lambda i: stepper.walk(i, None, 1, False)[0])
+        got = cycles.search(st, stepper, max_steps, chunk=chunk)
+    except (CycleNotFound, StepBudgetExceeded) as exc:
+        got = type(exc)
+    finally:
+        if route == "c":
+            stepper.close()
+    return got, eng.steps, stepper.counts[2] if route == "c" else len(eng._node)
+
+
+@settings(deadline=None, max_examples=150)
+@given(hs.one_of(rterms, spines, hs.builds(monomial_rterm, hs.integers(0, 3))),
+       hs.integers(1, 20000), hs.integers(0, 20000), hs.integers(1, 400))
+def test_compiled_walk_matches_python(t, max_steps, budget, chunk):
+    # the same answer or exception, contractions and nodes; the chunk only
+    # changes how the compiled side's work is cut up
+    if walk.load(walk.RSOURCE) is None:
+        pytest.skip("no C compiler to build the compiled restricted walk")
+    try:
+        want = _search(t, max_steps, budget, "py")
+    except StepBudgetExceeded:  # already while interning the base
+        with pytest.raises(StepBudgetExceeded):
+            _search(t, max_steps, budget, "c")
+        return
+    assert _search(t, max_steps, budget, "c", chunk) == want
+
+
+def test_degree_three_budget_edge(route):
+    base = monomial_rterm(3)
+    assert _search(base, 10**5, 18632, route)[:2] == (StepBudgetExceeded, 18633)
+    assert _search(base, 10**5, 18633, route)[:2] == ((4267, 5796), 18633)
+
+
+@pytest.mark.parametrize("degree,want", [
+    (0, ((9, 4), 8, 12)),
+    (1, ((36, 20), 74, 80)),
+    (2, ((274, 36), 520, 679)),
+    (3, ((4267, 5796), 18633, 28924)),
+    (4, ((191249, 431453), 1190209, 2155804)),
+])
+def test_both_routes_pin_degrees_zero_to_four(route, degree, want):
+    # degree 4 takes about 1.2 s compiled and 6 s in Python
+    if route == "py" and degree == 4 and not os.environ.get("RUN_SLOW"):
+        pytest.skip("about 6 s on the Python stepper; set RUN_SLOW=1 to enable")
+    assert _search(monomial_rterm(degree), cycles.MAX_STEPS, MAX_CONTRACTIONS, route) == want
+
+
+def test_every_search_frees_its_tables(lib, monkeypatch):
+    closed = []
+    close = restricted.CStepper.close
+    monkeypatch.setattr(restricted.CStepper, "close", lambda self: closed.append(close(self)))
+    assert find_rho_restricted(monomial_rterm(2)) == (274, 36)
+    with pytest.raises(StepBudgetExceeded):
+        find_rho_restricted(monomial_rterm(3), rewrite_budget=100)
+    with pytest.raises(CycleNotFound):
+        find_rho_restricted(monomial_rterm(3), max_steps=100)
+    assert len(closed) == 3

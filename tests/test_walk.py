@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import bluebird
-from bluebird import cycles, walk
+from bluebird import cycles, restricted, walk
 from bluebird.bterm import parse
 from bluebird.canonical import apply_poly, canonicalize
 from bluebird.cycle_detect import find_rho
@@ -109,36 +109,46 @@ def test_buffers_grow_on_a_growing_orbit(lib):
 
 
 def test_python_stepper_without_a_compiler(tmp_path):
-    # no cc on the PATH and an empty cache: the search still runs, in Python
+    # no cc on the PATH and an empty cache: both searches still run, in Python
     src = str(Path(bluebird.__file__).resolve().parents[1])
     env = dict(os.environ, PATH="", XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
-    code = ("from bluebird import find_rho; st = []; "
-            "print(tuple(find_rho('B^3 B', on_start=st.append)), st[0].stepper)")
+    code = ("from bluebird import find_rho, find_rho_restricted, monomial_rterm; st = []; "
+            "print(tuple(find_rho('B^3 B', on_start=st.append)), st[0].stepper); "
+            "print(tuple(find_rho_restricted(monomial_rterm(3))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(4240, 5796) py\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "(4240, 5796) py\n(4267, 5796)\n", "")
     assert not list(tmp_path.rglob("*.so"))
 
 
 def test_a_build_removes_stale_libraries(lib, tmp_path, monkeypatch):
-    # a library of another _walk.c in the cache goes once the current one is built
+    # a library of another version of a source in the cache goes once the
+    # current one is built, and a build of one source keeps the other's
     cache = tmp_path / "bluebird"
     cache.mkdir()
     (cache / "walk-00000000-1.so").write_bytes(b"")
+    (cache / "rwalk-00000000-1.so").write_bytes(b"")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    src = Path(walk.SOURCE).read_bytes()
     walk.load.cache_clear()
     try:
         assert walk.load() is not None
+        assert walk.load(walk.RSOURCE) is not None
+        assert walk.load() is not None
     finally:
         walk.load.cache_clear()
-    assert [p.name for p in cache.iterdir()] == [f"walk-{zlib.crc32(src):08x}-{len(src)}.so"]
+    names = []
+    for name, source in (("rwalk", walk.RSOURCE), ("walk", walk.SOURCE)):
+        src = Path(source).read_bytes()
+        names.append(f"{name}-{zlib.crc32(src):08x}-{len(src)}.so")
+    assert sorted(p.name for p in cache.iterdir()) == names
 
 
 def test_walk_source_ships_with_the_package():
-    source = importlib.resources.files("bluebird").joinpath("_walk.c")
-    assert source.is_file()
-    assert "int bb_walk(" in source.read_text()
+    for name, entry in (("_walk.c", "int bb_walk("), ("_rwalk.c", "int rr_walk(")):
+        source = importlib.resources.files("bluebird").joinpath(name)
+        assert source.is_file()
+        assert entry in source.read_text()
 
 
 class Stop(Exception):
@@ -161,6 +171,9 @@ def test_budgets_near_the_integer_limit_run_in_python(lib):
 
 
 def test_steppers_expose_one_call():
-    # the search asks a stepper for advances through walk alone
+    # the search asks a stepper for advances through walk alone; the
+    # restricted one also frees its tables
     for cls in (cycles.Stepper, walk.CStepper):
         assert [n for n in vars(cls) if not n.startswith("_")] == ["name", "walk"]
+    assert [n for n in vars(restricted.CStepper) if not n.startswith("_")] == [
+        "name", "walk", "close"]

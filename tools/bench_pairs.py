@@ -8,12 +8,18 @@ Each pair runs `bench/run.py --trace 0` once in the base checkout and once
 in this one, with the same seed; the side that goes first alternates from
 pair to pair, so a drift in machine speed falls on both sides alike. Every
 run writes its bytecode under a fresh, empty PYTHONPYCACHEPREFIX, so
-neither side reads a leftover __pycache__ and both compile alike. The
-output holds, per workload and end-to-end metric, the value of every pair,
-each side's median and quartiles, and how many pairs this checkout won
-(a lower value wins); a rerun replaces only the workloads it runs. With
---readme, the time cell of the `B^4 B` row of the README timing table is
-rewritten from this checkout's orbit-b4 wall_s quartiles.
+neither side reads a leftover __pycache__ and both compile alike. Each
+side keeps one XDG_CACHE_HOME for the session, where one untimed search
+of each engine builds that side's compiled walks before the first pair:
+no timed run builds a library, or removes the other side's. Every other
+variable is inherited. The output holds how the children are started,
+and per workload and end-to-end metric the value of every pair, each
+side's median and quartiles, and how many pairs this checkout won (a
+lower value wins); a rerun replaces only the workloads it runs. With
+--readme, the README cells that quote the benchmark are rewritten from
+this checkout's quartiles: the time of the `B^4 B` row of the timing
+table (orbit-b4 wall_s), and the time and memory of the degree-4 row of
+the restricted table (orbit-r4 wall_s and peak_rss_mb).
 """
 
 from __future__ import annotations
@@ -29,15 +35,41 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# the untimed build: a small search on each engine that has a compiled walk
+WARM_UP = ("import sys; sys.path.insert(0, 'src'); "
+           "from bluebird import find_rho, find_rho_restricted, monomial_rterm; "
+           "find_rho('B^2 B'); find_rho_restricted(monomial_rterm(2))")
+LAUNCH = {
+    "python": sys.executable,
+    "cwd": "the checkout",
+    "overrides": {
+        "XDG_CACHE_HOME": "one empty directory per side for the session, where an untimed "
+                          "search of each engine builds the compiled walks before the first pair",
+        "PYTHONPYCACHEPREFIX": "a fresh empty directory per run",
+    },
+    "inherited": "every other variable of the tool's environment",
+}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def child_env(cache: str, pycache: str) -> dict:
+    return dict(os.environ, XDG_CACHE_HOME=cache, PYTHONPYCACHEPREFIX=pycache)
+
+
+def warm_up(checkout: Path, cache: str) -> None:
+    with tempfile.TemporaryDirectory() as pycache:
+        proc = subprocess.run([sys.executable, "-c", WARM_UP], cwd=checkout,
+                              env=child_env(cache, pycache), capture_output=True, text=True,
+                              check=False)
+    if proc.returncode:
+        raise SystemExit(f"{checkout}: the untimed build failed:\n{proc.stderr}")
+
+
+def run_once(checkout: Path, cache: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     with tempfile.TemporaryDirectory() as pycache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
-        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
-                              check=False)
+        proc = subprocess.run(cmd, cwd=checkout, env=child_env(cache, pycache),
+                              capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"{checkout}: {workload} seed {seed} printed no result:\n{proc.stderr}")
@@ -68,18 +100,27 @@ def summarize(runs: list[tuple[dict, dict]]) -> dict:
     return out
 
 
-def readme_row(readme: Path, wall: dict) -> None:
-    q = wall["new_quartiles"]
-    cell = "–".join(f"{q[k]:.3g}" if q[k] < 1 else f"{q[k]:.1f}" for k in ("q1", "q3")) + " s"
+# the README cells quoted from the benchmark: row prefix, cell index (the
+# text before the first | is cell 0), workload, metric
+README_CELLS = (("| `B^4 B`", 3, "orbit-b4", "wall_s"),
+                ("| `B^3 B` (4)", 4, "orbit-r4", "wall_s"),
+                ("| `B^3 B` (4)", 5, "orbit-r4", "peak_rss_mb"))
+
+
+def readme_cells(readme: Path, workloads: dict) -> None:
     lines = readme.read_text().split("\n")
-    for k, line in enumerate(lines):
-        if line.startswith("| `B^4 B`"):
-            cells = line.split("|")  # ['', base, first repeat, time, '']
-            cells[3] = " " + cell.ljust(len(cells[3]) - 2) + " "
-            lines[k] = "|".join(cells)
-            readme.write_text("\n".join(lines))
-            return
-    raise SystemExit(f"{readme}: no `B^4 B` row in the timing table")
+    for prefix, at, workload, metric in README_CELLS:
+        m = workloads[workload]["metrics"][metric]
+        q = m["new_quartiles"]
+        ends = dict.fromkeys(f"{q[k]:.3g}" for k in ("q1", "q3"))  # one end when they agree
+        cell = "–".join(ends)
+        rows = [k for k, line in enumerate(lines) if line.startswith(prefix)]
+        if not rows:
+            raise SystemExit(f"{readme}: no row starting {prefix!r}")
+        cells = lines[rows[0]].split("|")
+        cells[at] = " " + f"{cell} {m['unit']}".ljust(len(cells[at]) - 2) + " "
+        lines[rows[0]] = "|".join(cells)
+    readme.write_text("\n".join(lines))
 
 
 def main() -> int:
@@ -95,22 +136,29 @@ def main() -> int:
     if args.workload and args.base is None:
         parser.error("--workload needs --base")
     report = {"machine": f"{platform.machine()}, {len(os.sched_getaffinity(0))} cores",
-              "python": platform.python_version(), "workloads": {}}
+              "python": platform.python_version(), "launch": LAUNCH, "workloads": {}}
     if args.out.exists():
         report["workloads"] = json.loads(args.out.read_text())["workloads"]
-    for workload in args.workload:
-        runs = []
-        for i in range(args.pairs):
-            sides = [args.base, ROOT] if i % 2 == 0 else [ROOT, args.base]
-            got = {side: run_once(side, workload, i + 1, args.seconds) for side in sides}
-            runs.append((got[args.base], got[ROOT]))
-            print(workload, i + 1, {k: round(v["metrics"]["wall_s"]["value"], 3)
-                                    for k, v in zip(("base", "new"), runs[-1])}, flush=True)
-        report["workloads"][workload] = {"pairs": args.pairs, "seconds": args.seconds,
-                                         "metrics": summarize(runs)}
-        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as base_cache, tempfile.TemporaryDirectory() as cache:
+        caches = {args.base: base_cache, ROOT: cache}
+        if args.workload:
+            for side, side_cache in caches.items():
+                warm_up(side, side_cache)
+        for workload in args.workload:
+            runs = []
+            for i in range(args.pairs):
+                sides = [args.base, ROOT] if i % 2 == 0 else [ROOT, args.base]
+                got = {side: run_once(side, caches[side], workload, i + 1, args.seconds)
+                       for side in sides}
+                runs.append((got[args.base], got[ROOT]))
+                print(workload, i + 1, {k: round(v["metrics"]["wall_s"]["value"], 3)
+                                        for k, v in zip(("base", "new"), runs[-1])},
+                      flush=True)
+            report["workloads"][workload] = {"pairs": args.pairs, "seconds": args.seconds,
+                                             "metrics": summarize(runs)}
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.readme:
-        readme_row(args.readme, report["workloads"]["orbit-b4"]["metrics"]["wall_s"])
+        readme_cells(args.readme, report["workloads"])
     return 0
 
 
