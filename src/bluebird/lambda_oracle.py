@@ -8,9 +8,9 @@ Reduction strategy: normal order (leftmost outermost) beta to beta-normal
 form, then exhaustive eta. A step budget guards non-normalizing inputs.
 
 Inside, a term is one string in prefix order: _APP, then function and
-argument; _ABS, then body; Var(i) as chr(i + 2). The first _APP _ABS pair is
-the leftmost-outermost redex, and every walk is a loop with a stack of
-binder depths, so term depth costs no interpreter stack.
+argument; _ABS, then body; Var(i) as chr(i + 2). Beta runs a machine on a
+tree parsed once from it, eta two linear passes; every walk is a loop with
+an explicit stack, so term depth costs no interpreter stack.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ DEFAULT_BUDGET = 10**7
 
 _APP = "\x00"
 _ABS = "\x01"
-_REDEX = _APP + _ABS
 
 
 class _Coded:
@@ -86,92 +85,113 @@ def _encode(t: LambdaTerm | bt.BTerm) -> str:
 
 def _decode(code: str, var=Var, app=App) -> LambdaTerm:
     vals: list = []
+    push, pop = vals.append, vals.pop
     for c in reversed(code):
-        if c == _APP:
-            fn = vals.pop()
-            vals.append(app(fn, vals.pop()))
-        else:
-            vals.append(Abs(vals.pop()) if c == _ABS else var(ord(c) - 2))
+        push(app(pop(), pop()) if c == _APP else Abs(pop()) if c == _ABS else var(ord(c) - 2))
     return vals[0]
 
 
-def _end(code: str, i: int) -> int:
-    """End of the subterm that starts at code[i]: an _APP opens one more
-    subterm to read, a variable closes one."""
-    need = 1
-    while need:
-        need += (code[i] == _APP) - (code[i] > _ABS)
-        i += 1
-    return i
-
-
-def _walk(code: str, by: int, value: str | None = None) -> str | None:
-    """Add `by` to every free variable of code, or None if one would become
-    bound. With a value, code is the body of a contracted redex: Var(0)
-    becomes value, shifted by the binders it lands under (by is then -1)."""
-    out: list[str] = []
-    depths = [0]  # binder depth of each subterm still to read
-    shifted = {0: value}
-    for c in code:
-        d = depths.pop()
-        if c == _APP:
-            depths += (d, d)
-        elif c == _ABS:
-            depths.append(d + 1)
-        elif (i := ord(c) - 2) >= d:
-            if i == d and value is not None:
-                if d not in shifted:
-                    shifted[d] = _walk(value, d)
-                c = shifted[d]
-            elif i + by < d:
-                return None
-            else:
-                c = chr(i + by + 2)
-        out.append(c)
-    return "".join(out)
-
-
-def _beta(code: str, max_steps: int) -> str:
-    steps = 0
-    p = code.find(_REDEX)
-    while p >= 0:
-        steps += 1
-        if steps > max_steps:
-            raise StepBudgetExceeded(max_steps)
-        mid = _end(code, p + 2)
-        stop = _end(code, mid)
-        code = code[:p] + _walk(code[p + 2:mid], -1, code[mid:stop]) + code[stop:]
-        # only the pair that ends at p can be new
-        p = code.find(_REDEX, max(p - 1, 0))
-    return code
-
-
 def _eta_reduce(code: str) -> str:
-    """Exhaustive eta, innermost first: _ABS _APP f Var(0) becomes f lowered
-    by one when f does not use Var(0)."""
-    out: list[str] = []
-    todo: list[int] = []  # start of each open node; ~start while an App reads its function
-    for c in code:
-        out.append(c)
-        if c == _APP or c == _ABS:
-            todo.append(~(len(out) - 1) if c == _APP else len(out) - 1)
+    """Exhaustive eta. A subterm's last binder and argument go while that
+    argument reduces to the binder's variable, its only use: one pass counts
+    uses and decides bottom-up, a second writes the rest with indices fixed."""
+    uses: list[int] = []  # uses of the open binder at each static level
+    skip: dict[int, tuple[int, int]] = {}  # dropped text: start -> (end, binders in it)
+    # subterms reading arguments: [start, binders, depth inside, head level,
+    # arguments, (start, level if it reduces to a variable) of those read]
+    frames, i = [[0, 0, 0, None, 1, []]], 0
+    while frames:
+        f = frames[-1]
+        if len(f[5]) == f[4]:
+            p, m, d, s, n, got = frames.pop()
+            r = 0
+            while r < min(m, n) and got[n - 1 - r][1] == d - 1 - r and uses[d - 1 - r] == 1:
+                r += 1
+            if r:  # r binders, the r applications after them and the last r arguments
+                skip[p + m - r] = (p + m + r, r)
+                skip[got[n - r][0]] = (i, 0)
+            if frames:
+                frames[-1][5].append((p, s if r == m == n else None))
             continue
-        while todo:
-            s = todo.pop()
-            if s < 0:
-                todo.append(~s)
-                break
-            if (out[s] == _ABS and out[s + 1] == _APP and out[-1] == "\x02"  # Var(0)
-                    and _end(out, s + 2) == len(out) - 1):
-                lowered = _walk("".join(out[s + 2:-1]), -1)
-                if lowered is not None:
-                    del out[s:]
-                    out += lowered
+        d, p = f[2], i
+        if (c := code[i]) > _ABS:  # a variable argument
+            if (s := d + 1 - ord(c)) >= 0:
+                uses[s] += 1
+            f[5].append((i, s))
+            i += 1
+            continue
+        while code[i] == _ABS:
+            i += 1
+        m, q = i - p, i
+        while code[i] == _APP:
+            i += 1
+        uses[d:] = [0] * m
+        if (s := d + m + 1 - ord(code[i])) >= 0:
+            uses[s] += 1
+        frames.append([p, m, d + m, s, i - q, []])
+        i += 1
+    if not skip:
+        return code
+    out: list[str] = []
+    below: dict[int, int] = {}  # kept binders below each static level of the path
+    todo, i = [(0, 0)], 0  # static depth and kept binders of each subterm still to read
+    while todo:
+        d, k = todo.pop()
+        while i in skip:
+            i, r = skip[i]
+            d += r
+        c, i = code[i], i + 1
+        if c == _APP:
+            todo += ((d, k), (d, k))
+        elif c == _ABS:
+            below[d] = k
+            todo.append((d + 1, k + 1))
+        else:
+            c = chr(k + 1 - below.get(s := d + 1 - ord(c), s))
+        out.append(c)
     return "".join(out)
 
 
 def _normal(code: str, max_steps: int) -> str:
-    return _eta_reduce(_beta(code, max_steps))
+    """Beta by a strongly reducing Krivine machine (Cregut's KN), then eta.
+
+    The tree parsed from code has Var(i) as i, Abs(b) as [b], App(f, a) as
+    (f, a). A closure (term, env, n, level) binds the n binders above term
+    to env[:n]: argument closures and output binders' levels. A binder
+    extends env in place if no one else has, else a copy. One stack holds
+    the head's arguments, then those left to normalize, the leftmost on top."""
+    vals: list = []
+    push, pop = vals.append, vals.pop
+    for c in reversed(code):
+        push((pop(), pop()) if c == _APP else [pop()] if c == _ABS else ord(c) - 2)
+    out, steps, todo = [], 0, [(vals[0], [], 0, 0)]
+    while todo:
+        t, env, n, level = todo.pop()
+        base = len(todo)
+        while True:
+            if type(t) is tuple:
+                todo.append((t[1], env, n, level))
+                t = t[0]
+            elif type(t) is list:
+                env = env if len(env) == n else env[:n]
+                if len(todo) > base:
+                    if (steps := steps + 1) > max_steps:
+                        raise StepBudgetExceeded(max_steps)
+                    env.append(todo.pop())
+                else:
+                    out.append(_ABS)
+                    env.append(level)
+                    level += 1
+                n += 1
+                t = t[0]
+            else:  # c: Var(t)'s closure, or its level in the output
+                c = env[j] if (j := n + ~t) >= 0 else j
+                if type(c) is tuple:
+                    t, env, n, _ = c
+                    continue
+                out += (_APP * (len(todo) - base), chr(level + 1 - c))
+                break
+    return _eta_reduce("".join(out))
 
 
 def normalize(t: LambdaTerm, max_steps: int = DEFAULT_BUDGET) -> LambdaTerm:

@@ -157,7 +157,7 @@ def tree_to_lambda(t: BinTree) -> lo.LambdaTerm:
 
 # --- a second lambda normalizer ---------------------------------------------
 # Normal-order reduction on Var/Abs/App trees, written apart from
-# lambda_oracle's string walks so the tests can compare the two. It
+# lambda_oracle's Krivine machine so the tests can compare the two. It
 # recurses on term depth, so keep its inputs shallow.
 
 def _shift(t, by, depth=0):

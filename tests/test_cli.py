@@ -317,6 +317,12 @@ def test_deep_restricted_text_stops_on_budget(capsys):
     assert err == "error: no cycle found within 3 steps\n"
 
 
+def test_deep_lambda_term_stops_on_budget(capsys):
+    code, out, err = run(capsys, "rho", "--engine", "lambda", "--max-steps", "3", "B^3000 B")
+    assert (code, out) == (3, "")
+    assert err == "error: no cycle found within 3 steps\n"
+
+
 def test_no_subcommand_changes_the_recursion_limit(capsys, tmp_path):
     limit = sys.getrecursionlimit()
     calls = [

@@ -1,5 +1,7 @@
 """The independent route: de Bruijn lambda terms with beta-eta normalization."""
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -19,6 +21,15 @@ def test_normalize_is_idempotent():
     for t in samples:
         nf = lo.normalize(t)
         assert lo.normalize(nf) == nf
+
+
+def test_open_terms_keep_their_free_variables():
+    assert lo.normalize(Var(3)) == Var(3)
+    assert lo.normalize(App(Var(1), lo.I)) == App(Var(1), lo.I)
+    # \x. 3 x is Var(3) seen under one binder: eta gives Var(2)
+    assert lo.normalize(Abs(App(Var(3), Var(0)))) == Var(2)
+    # K moves a free variable under its second binder
+    assert lo.normalize(App(lo.K, Var(0))) == Abs(Var(1))
 
 
 def test_beta_reduction():
@@ -126,8 +137,22 @@ closed_terms = hs.one_of(
 )
 
 
+def _open_terms(depth: int):
+    """Terms with free variables: indices up to 4 over at most `depth` binders,
+    so some point past every binder, also inside arguments that a contraction
+    moves under binders."""
+    leaves = hs.one_of(hs.sampled_from(NAMED), hs.builds(Var, hs.integers(0, 4)))
+    terms = leaves
+    for _ in range(depth):
+        terms = hs.one_of(leaves, hs.builds(App, terms, terms), hs.builds(Abs, terms))
+    return terms
+
+
+open_terms = hs.tuples(_open_terms(4), hs.just(100))
+
+
 @settings(deadline=None, max_examples=300)
-@given(closed_terms)
+@given(hs.one_of(closed_terms, open_terms))
 def test_normalize_matches_the_reference(case):
     t, budget = case
     try:
@@ -178,3 +203,55 @@ def test_rho_lambda_deep_budget_stop():
 def test_format_lambda_nesting():
     assert lo.format_lambda(App(lo.I, App(lo.K, Var(0)))) == r"(\.0) ((\\.1) 0)"
     assert lo.format_lambda(Abs(App(App(Var(0), Abs(Var(0))), Var(1)))) == r"\.0 (\.0) 1"
+
+
+def test_nested_eta_redexes_at_depth():
+    # \y x1 ... xn. y x1 ... xn is the identity after n + 1 eta steps
+    n = 10**4
+    t = Var(n)
+    for i in range(n):
+        t = App(t, Var(n - 1 - i))
+    for _ in range(n + 1):
+        t = Abs(t)
+    assert lo.normalize(t, 0) == lo.I
+
+
+def _rotation(n: int):
+    """(lambda x1 ... xn. xn x1 ... x(n-1)) applied to the free variables
+    0 .. n-1, and its normal form (n-1) 0 1 ... (n-2), reached in n steps."""
+    body = Var(0)
+    for i in range(n - 1):
+        body = App(body, Var(n - 1 - i))
+    t = body
+    for _ in range(n):
+        t = Abs(t)
+    for i in range(n):
+        t = App(t, Var(i))
+    want = Var(n - 1)
+    for i in range(n - 1):
+        want = App(want, Var(i))
+    return t, want
+
+
+def test_many_binders_over_a_long_spine():
+    for n in (1, 2, 5, 30):
+        t, want = _rotation(n)
+        assert reference_normalize(t) == (want, n)
+    t, want = _rotation(10**4)
+    assert lo.normalize(t, 10**4) == want
+    with pytest.raises(StepBudgetExceeded):
+        lo.normalize(t, 10**4 - 1)
+
+
+def test_deep_monomial_through_the_lambda_route():
+    from bluebird.canonical import canonical_via_lambda, canonicalize
+
+    m = bt.monomial(3000)
+    assert canonical_via_lambda(m) == canonicalize(m)
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
+                    reason="about 4 minutes; set RUN_SLOW=1 to enable")
+def test_rho_lambda_pins_b4b():
+    # a second full route for B^4 B, apart from the canonical and restricted engines
+    assert lo.rho_lambda(lo.bterm_to_lambda(bt.parse("B^4 B"))) == (191206, 431453)
