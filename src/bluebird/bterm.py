@@ -13,21 +13,49 @@ Text form:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from itertools import islice
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True, slots=True)
-class _BLeaf:
+class _Frozen:
+    """An immutable node with __slots__: its __init__ writes each slot
+    through the slot's member descriptor, assignment and deletion raise as
+    on a frozen dataclass, and a pickle rebuilds it from its slots."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class _BLeaf(_Frozen):
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return True if type(other) is _BLeaf else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
     def __repr__(self) -> str:
         return "B"
+
+    def __reduce__(self):
+        return "B"  # the module's one leaf
 
 
 B = _BLeaf()
 
 
-class _Printed:
+class _Printed(_Frozen):
     """Equality, hash and repr of an application node through its text,
     which a printer loop builds without recursion."""
 
@@ -43,14 +71,18 @@ class _Printed:
         return f"{type(self).__name__}<{self._text()}>"
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class App(_Printed):
-    fn: "BTerm"
-    arg: "BTerm"
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: "BTerm", arg: "BTerm") -> None:
+        _set_fn(self, fn)
+        _set_arg(self, arg)
 
     def _text(self) -> str:
         return format_bterm(self)
 
+
+_set_fn, _set_arg = App.fn.__set__, App.arg.__set__
 
 BTerm = _BLeaf | App
 
@@ -89,22 +121,16 @@ def monomial(n: int) -> BTerm:
     return out
 
 
-_TOKEN = re.compile(r"\s*(B\^(\d+)|B(?![\w^])|\(|\))")
+# one match per token; a character that starts no token makes the rest of
+# the text one last match with an empty token
+_TOKEN = re.compile(r"\s*(?:(B\^\d+|B(?![\w^])|[()])|\S(?s:.*))")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return out
+def _position(text: str, k: int) -> int:
+    """Where the k-th match of _TOKEN in text starts its token, found again
+    by the same scan: only an error needs a position."""
+    m = next(islice(_TOKEN.finditer(text), k, None))
+    return m.start(1) if m.group(1) else len(text) - len(m.group().lstrip())
 
 
 def parse(text: str) -> BTerm:
@@ -112,43 +138,43 @@ def parse(text: str) -> BTerm:
     return _parse(text, B, App, monomial, then_b=True)
 
 
-def _parse(text: str, leaf, app, power, then_b: bool):
+def _parse(text, leaf, app, power, then_b: bool):
     """The parse loop of B-term and restricted-term text: ``B`` reads as
     leaf, ``B^n`` as power(n) (then followed by its own ``B`` if then_b) and
     juxtaposition as app. Each open '(' pushes the partial application of
     its enclosing group, so nesting depth costs no interpreter stack."""
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty input", 0)
-    groups: list[tuple[object, int]] = []  # (enclosing partial, '(' position)
+    if not tokens[-1]:
+        pos = _position(text, len(tokens) - 1)
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    groups: list[tuple[object, int]] = []  # (enclosing partial, index of its '(')
     cur = None  # partial application of the innermost group
-    idx = 0
-    while idx < len(tokens):
-        tok, pos = tokens[idx]
-        idx += 1
-        if tok == "(":
-            groups.append((cur, pos))
+    it = enumerate(tokens)
+    for k, tok in it:
+        if tok == "B":
+            atom = leaf
+        elif tok == "(":
+            groups.append((cur, k))
             cur = None
             continue
-        if tok == ")":
+        elif tok == ")":
             if cur is None:
-                raise ParseError("expected a term", pos)
+                raise ParseError("expected a term", _position(text, k))
             if not groups:
-                raise ParseError("unexpected ')'", pos)
+                raise ParseError("unexpected ')'", _position(text, k))
             atom = cur
             cur = groups.pop()[0]
-        elif tok == "B":
-            atom = leaf
         else:
-            if then_b and (idx == len(tokens) or tokens[idx][0] != "B"):
-                raise ParseError("expected 'B' after 'B^n'", pos)
-            idx += then_b
+            if then_b and next(it, (0, None))[1] != "B":
+                raise ParseError("expected 'B' after 'B^n'", _position(text, k))
             atom = power(int(tok[2:]))
         cur = atom if cur is None else app(cur, atom)
     if cur is None:
         raise ParseError("expected a term", len(text))
     if groups:
-        raise ParseError("unbalanced '('", groups[-1][1])
+        raise ParseError("unbalanced '('", _position(text, groups[-1][1]))
     return cur
 
 

@@ -8,10 +8,12 @@ so a non-increasing sequence of degrees [n1, ..., nk] is a complete invariant:
 two B-terms are beta-eta equivalent iff their sequences match. DegreeSeq,
 the one type of a canonical form, stores the sequence run-length encoded
 and flat with a lazy degree offset. canonicalize computes it by folding
-the term's applications through _apply_into, the one merge kernel, and
-apply_poly, the orbit search's step, runs the same kernel on two of them;
-canonical_via_lambda recomputes it through the lambda oracle so the two
-routes can be cross-checked.
+the term's applications through the one merge kernel: _apply_into here,
+mirrored as apply in _walk.c, whose bb_fold runs the fold when the
+compiled library loads (_fold is the route without it). apply_poly, the
+orbit search's step, runs the same kernel on two forms;
+canonical_via_lambda recomputes a form through the lambda oracle so the
+two routes can be cross-checked.
 
 The only non-trivial law is the adjacent swap
 
@@ -220,7 +222,8 @@ def _fold(e: bt.BTerm) -> tuple[list[int], int]:
     with an explicit stack: the spine B a1 ... an is B's [0, 1] applied to
     a1, ..., an in turn. Each application raises a frame's offset by one,
     so after i arguments it is i, and a finished argument frame's offset is
-    its argument count."""
+    its argument count. canonicalize runs it when the compiled library
+    does not load; bb_fold gives the same runs at the same offset."""
     acc, args, i = [0, 1], bt.spine(e)[1], 0
     stack = []
     while True:
@@ -240,10 +243,31 @@ def _fold(e: bt.BTerm) -> tuple[list[int], int]:
             return acc, i
 
 
+_walk = None  # the walk module, imported on the first canonicalize
+
+
 def canonicalize(e: bt.BTerm) -> DegreeSeq:
-    """Canonical degree sequence of a B-term, by folding its applications."""
-    flat, t = _fold(e)
-    return _seq(tuple(flat), t)
+    """Canonical degree sequence of a B-term, by folding its applications:
+    compiled, _walk.c's bb_fold runs the term's post-order, else _fold."""
+    global _walk
+    if _walk is None:
+        from . import walk as _walk
+    lib = _walk.load()
+    if lib is None:
+        flat, t = _fold(e)
+        return _seq(tuple(flat), t)
+    # the prefix order that visits an argument before its function is,
+    # reversed, the post-order: 0 for B, 1 for an application
+    codes, stack = bytearray(), [e]
+    while stack:
+        u = stack.pop()
+        while type(u) is bt.App:
+            codes.append(1)
+            stack.append(u.fn)
+            u = u.arg
+        codes.append(0)
+    codes.reverse()
+    return _seq(*_walk.fold(lib, bytes(codes)))
 
 
 def equivalent_bterms(e1: bt.BTerm, e2: bt.BTerm) -> bool:

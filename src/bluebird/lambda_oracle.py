@@ -15,8 +15,6 @@ an explicit stack, so term depth costs no interpreter stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import bterm as bt
 from . import cycles
 from .errors import NotBFormShape, StepBudgetExceeded
@@ -28,7 +26,7 @@ _APP = "\x00"
 _ABS = "\x01"
 
 
-class _Coded:
+class _Coded(bt._Frozen):
     """Abs and App compare and hash by their prefix string."""
 
     __slots__ = ()
@@ -43,21 +41,39 @@ class _Coded:
         return f"{type(self).__name__}<{format_lambda(self)}>"
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    index: int
+class Var(bt._Frozen):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        _set_index(self, index)
+
+    def __eq__(self, other: object) -> bool:
+        return (self.index,) == (other.index,) if type(other) is Var else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
+
+    def __repr__(self) -> str:
+        return f"Var(index={self.index!r})"
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Abs(_Coded):
-    body: "LambdaTerm"
+    __slots__ = ("body",)
+
+    def __init__(self, body: "LambdaTerm") -> None:
+        _set_body(self, body)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class App(_Coded):
-    fn: "LambdaTerm"
-    arg: "LambdaTerm"
+    __slots__ = ("fn", "arg")
 
+    def __init__(self, fn: "LambdaTerm", arg: "LambdaTerm") -> None:
+        _set_fn(self, fn)
+        _set_arg(self, arg)
+
+
+_set_index, _set_body = Var.index.__set__, Abs.body.__set__
+_set_fn, _set_arg = App.fn.__set__, App.arg.__set__
 
 LambdaTerm = Var | Abs | App
 

@@ -24,7 +24,6 @@ builds it), and frees that copy when the search ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Union
 
@@ -36,19 +35,34 @@ MAX_CONTRACTIONS = 10**7  # default contraction budget of every restricted entry
 LIMIT = 2**31 - 1  # bound on every id and constant of the compiled walk
 
 
-@dataclass(frozen=True, slots=True)
-class RConst:
-    k: int
+class RConst(bt._Frozen):
+    __slots__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        _set_k(self, k)
+
+    def __eq__(self, other: object) -> bool:
+        return (self.k,) == (other.k,) if type(other) is RConst else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k,))
+
+    def __repr__(self) -> str:
+        return f"RConst(k={self.k!r})"
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class RApp(bt._Printed):
-    fn: "RTerm"
-    arg: "RTerm"
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: "RTerm", arg: "RTerm") -> None:
+        _set_fn(self, fn)
+        _set_arg(self, arg)
 
     def _text(self) -> str:
         return format_rterm(self)
 
+
+_set_k, _set_fn, _set_arg = RConst.k.__set__, RApp.fn.__set__, RApp.arg.__set__
 
 RTerm = Union[RConst, RApp]
 

@@ -1,6 +1,7 @@
 """The compiled orbit walks: _walk.c's bb_walk behind CStepper.walk, the
 one call of a cycles.Stepper, over canonical.DegreeSeq states, and the
-library of _rwalk.c, which restricted.CStepper drives.
+library of _rwalk.c, which restricted.CStepper drives; _walk.c's bb_fold
+is canonical.canonicalize's fold.
 
 load(source) compiles a C source with cc on first use, into
 $XDG_CACHE_HOME/bluebird (else ~/.cache/bluebird) under a name made of the
@@ -62,6 +63,8 @@ def load(source: str = SOURCE):
     if source == SOURCE:
         lib.bb_walk.argtypes = [ptr, ptr, ctypes.c_int, ptr, int64, int64, ptr]
         lib.bb_walk.restype = ctypes.c_int
+        lib.bb_fold.argtypes = [ctypes.c_char_p, int64, ptr, int64]
+        lib.bb_fold.restype = ctypes.c_int
     else:
         lib.rr_new.argtypes = [ptr, int64, ptr, int64, int64, int64, int64]
         lib.rr_new.restype = tables
@@ -70,6 +73,17 @@ def load(source: str = SOURCE):
         lib.rr_free.argtypes = [tables]
         lib.rr_free.restype = None
     return lib
+
+
+def fold(lib, codes: bytes) -> tuple[tuple[int, ...], int]:
+    """The flat runs and offset of the term whose post-order is codes, 0 for
+    B and 1 for an application, by lib's bb_fold: canonical._fold's result."""
+    import ctypes
+
+    out = (ctypes.c_int64 * (5 * len(codes) // 2 + 3))()  # bb_fold's 5 ints a leaf
+    if lib.bb_fold(codes, len(codes), out, len(out)):
+        raise ValueError("codes are not the post-order of one term")
+    return tuple(out[2:out[0] + 2]), out[1]
 
 
 def fits(st: SearchState, max_steps: int) -> bool:

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: term enumeration and brute-force oracles."""
 
+import re
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -8,10 +9,10 @@ from hypothesis import strategies as hs
 
 from bluebird import cycle_detect, walk
 from bluebird import lambda_oracle as lo
-from bluebird.bterm import App, B, BTerm, parse
+from bluebird.bterm import App, B, BTerm, monomial, parse
 from bluebird.canonical import DegreeSeq, Runs, canonicalize, raise_runs
 from bluebird.cycles import floyd_rho
-from bluebird.errors import StepBudgetExceeded
+from bluebird.errors import ParseError, StepBudgetExceeded
 from bluebird.restricted import RApp, RConst
 from bluebird.trees import BinTree, Node
 
@@ -66,6 +67,65 @@ def stepper(request, monkeypatch):
     elif walk.load() is None:
         pytest.skip("no C compiler to build the compiled walk")
     return request.param
+
+
+_REF_TOKEN = re.compile(r"\s*(B\^(\d+)|B(?![\w^])|\(|\))")
+
+
+def _reference_tokens(text: str) -> list[tuple[str, int]]:
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+        out.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return out
+
+
+def reference_parse(text: str, leaf=B, app=App, power=monomial, then_b: bool = True):
+    """bterm._parse by the lexer that its one findall replaced: one match
+    per token, each token kept with its position. With leaf, app, power and
+    then_b as bterm.parse passes them by default, and as restricted's
+    parse_rterm does with RConst(0), RApp, RConst and False. The package
+    never imports it."""
+    tokens = _reference_tokens(text)
+    if not tokens:
+        raise ParseError("empty input", 0)
+    groups: list[tuple[object, int]] = []
+    cur = None
+    idx = 0
+    while idx < len(tokens):
+        tok, pos = tokens[idx]
+        idx += 1
+        if tok == "(":
+            groups.append((cur, pos))
+            cur = None
+            continue
+        if tok == ")":
+            if cur is None:
+                raise ParseError("expected a term", pos)
+            if not groups:
+                raise ParseError("unexpected ')'", pos)
+            atom = cur
+            cur = groups.pop()[0]
+        elif tok == "B":
+            atom = leaf
+        else:
+            if then_b and (idx == len(tokens) or tokens[idx][0] != "B"):
+                raise ParseError("expected 'B' after 'B^n'", pos)
+            idx += then_b
+            atom = power(int(tok[2:]))
+        cur = atom if cur is None else app(cur, atom)
+    if cur is None:
+        raise ParseError("expected a term", len(text))
+    if groups:
+        raise ParseError("unbalanced '('", groups[-1][1])
+    return cur
 
 
 def eager_apply_runs(runs: Runs, raised_base: Runs) -> Runs:

@@ -1,10 +1,11 @@
 """Syntax-level tests: parsing, formatting, spines, flat powers."""
 
+import re
 import time
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bluebird.bterm import (
@@ -19,8 +20,9 @@ from bluebird.bterm import (
 )
 from bluebird.canonical import monomial_degree
 from bluebird.errors import ParseError
+from bluebird.restricted import RApp, RConst, parse_rterm
 
-from .support import bterm_shapes, bterm_strategy, bterms_up_to
+from .support import bterm_shapes, bterm_strategy, bterms_up_to, reference_parse
 
 
 def test_leaf_basics():
@@ -85,6 +87,31 @@ def test_parse_errors_have_positions():
         parse("B B)")
     with pytest.raises(ParseError):
         parse("(B")
+
+
+# texts over the parser's alphabet and some bad characters; a run of more
+# than three digits is cut to three, so that no B^n builds a huge monomial
+_texts = hs.lists(hs.sampled_from(["B", "B", "B ", "B ", "B^1", "B^", "^", "(", "(", ")", ")",
+                                   "0", "12", "x", " ", "\t"]), max_size=30).map(
+    lambda pieces: re.sub(r"\d{4,}", lambda m: m[0][:3], "".join(pieces)))
+
+
+@settings(max_examples=400)
+@given(hs.one_of(hs.builds(format_bterm, bterm_strategy(), hs.booleans()), _texts))
+def test_parsers_match_the_reference(text):
+    # parse and parse_rterm against the lexer that makes one match per
+    # token: the same term, or a ParseError with the same message and position
+    for ours, ref in ((parse, reference_parse),
+                      (parse_rterm, partial(reference_parse, leaf=RConst(0), app=RApp,
+                                            power=RConst, then_b=False))):
+        try:
+            want = ref(text)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                ours(text)
+            assert (str(got.value), got.value.position) == (str(exc), exc.position)
+        else:
+            assert ours(text) == want
 
 
 def test_spine_roundtrip():

@@ -2,10 +2,12 @@
 
 import importlib.resources
 import os
+import random
 import subprocess
 import sys
 import zlib
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as hs
 
 import bluebird
 from bluebird import cycles, restricted, walk
-from bluebird.bterm import parse
+from bluebird.bterm import App, B, flat, monomial, parse
 from bluebird.canonical import apply_poly, canonicalize
 from bluebird.cycle_detect import find_rho
 from bluebird.errors import CycleNotFound
@@ -112,14 +114,64 @@ def test_python_stepper_without_a_compiler(tmp_path):
     # no cc on the PATH and an empty cache: both searches still run, in Python
     src = str(Path(bluebird.__file__).resolve().parents[1])
     env = dict(os.environ, PATH="", XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
-    code = ("from bluebird import find_rho, find_rho_restricted, monomial_rterm; st = []; "
+    code = ("from bluebird import find_rho, find_rho_restricted, monomial_rterm; "
+            "from bluebird.cli import main; st = []; "
             "print(tuple(find_rho('B^3 B', on_start=st.append)), st[0].stepper); "
-            "print(tuple(find_rho_restricted(monomial_rterm(3))))")
+            "print(tuple(find_rho_restricted(monomial_rterm(3)))); "
+            "print(main(['canon', 'B (B B) B']), main(['eq', 'B B B B', 'B (B B)']))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        0, "(4240, 5796) py\n(4267, 5796)\n", "")
+        0, "(4240, 5796) py\n(4267, 5796)\n[1,0]\ntrue\n0 0\n", "")
     assert not list(tmp_path.rglob("*.so"))
+
+
+def test_import_loads_no_library():
+    # the compiled walks load on first use: importing the package runs no
+    # compiler and imports neither ctypes nor subprocess
+    src = str(Path(bluebird.__file__).resolve().parents[1])
+    code = ("import sys, bluebird, bluebird.lambda_oracle; "
+            "print('ctypes' in sys.modules, 'subprocess' in sys.modules, "
+            "bluebird.walk.load.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False 0\n", "")
+
+
+def _folds(x):
+    """(flat, t) of canonicalize(x) by the compiled fold and by _fold."""
+    got = canonicalize(x)
+    with patch.object(walk, "load", lambda: None):
+        want = canonicalize(x)
+    return (got.flat, got.t), (want.flat, want.t)
+
+
+@settings(deadline=None, max_examples=300)
+@given(bterm_strategy(16))
+def test_compiled_fold_matches_python(x):
+    if walk.load() is None:
+        pytest.skip("no C compiler to build the compiled walk")
+    got, want = _folds(x)
+    assert got == want
+
+
+def _random_term(rng, leaves):
+    """A random application tree of exactly `leaves` leaves, built by joining
+    adjacent subterms at random."""
+    items = [B] * leaves
+    while len(items) > 1:
+        i = rng.randrange(len(items) - 1)
+        items[i:i + 2] = [App(items[i], items[i + 1])]
+    return items[0]
+
+
+def test_compiled_fold_matches_python_on_large_and_deep_terms(lib):
+    rng = random.Random(20)
+    terms = [_random_term(rng, 10**4) for _ in range(3)]
+    terms += [monomial(10**5), flat(B, 10**5), parse("(" * 600 + "B B" + ")" * 600)]
+    for x in terms:
+        got, want = _folds(x)
+        assert got == want
 
 
 def test_a_build_removes_stale_libraries(lib, tmp_path, monkeypatch):

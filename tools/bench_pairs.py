@@ -19,8 +19,9 @@ lower value wins); a rerun replaces only the workloads it runs. With
 --readme, the README cells that quote the benchmark are rewritten from
 this checkout's quartiles: the time of the `B^4 B` row of the timing
 table (orbit-b4 wall_s), the time and memory of the degree-4 row of the
-restricted table (orbit-r4 wall_s and peak_rss_mb), and the time of the
-lambda engine's `B^3 B` row (lambda-b3 wall_s).
+restricted table (orbit-r4 wall_s and peak_rss_mb), the time of the
+lambda engine's `B^3 B` row (lambda-b3 wall_s) and the time of a decide
+round (decide wall_s).
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def summarize(runs: list[tuple[dict, dict]]) -> dict:
 README_CELLS = (("| `B^4 B`", 3, "orbit-b4", "wall_s"),
                 ("| `B^3 B` (4)", 4, "orbit-r4", "wall_s"),
                 ("| `B^3 B` (4)", 5, "orbit-r4", "peak_rss_mb"),
-                ('| `rho --engine lambda "B^3 B"`', 3, "lambda-b3", "wall_s"))
+                ('| `rho --engine lambda "B^3 B"`', 3, "lambda-b3", "wall_s"),
+                ("| `decide`", 3, "decide", "wall_s"))
 
 
 def readme_cells(readme: Path, workloads: dict) -> None:
