@@ -1,5 +1,6 @@
 """The independent route: de Bruijn lambda terms with beta-eta normalization."""
 
+import gc
 import os
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bluebird import bterm as bt
+from bluebird import cycles
 from bluebird import lambda_oracle as lo
 from bluebird.errors import CycleNotFound, StepBudgetExceeded
 from bluebird.lambda_oracle import Abs, App, Var
@@ -104,6 +106,67 @@ def test_rho_lambda_small_values():
     assert tuple(lo.rho_lambda(lo.I)) == (1, 1)
     assert tuple(lo.rho_lambda(lo.K)) == (1, 2)
     assert tuple(lo.rho_lambda(lo.T)) == (2, 1)
+
+
+def test_rho_lambda_normalizes_each_state_once(monkeypatch):
+    calls = [0]
+    real = lo._normal
+
+    def counted(code, max_steps):
+        calls[0] += 1
+        return real(code, max_steps)
+
+    monkeypatch.setattr(lo, "_normal", counted)
+    for text, want in (("B^1 B", (32, 20)), ("B^2 B", (258, 36))):
+        calls[0] = 0
+        assert lo.rho_lambda(lo.bterm_to_lambda(bt.parse(text))) == want
+        # the base, then one successor for each other state of entry + cycle
+        assert calls[0] == sum(want)
+
+
+def test_rho_lambda_budgets_match_the_uncached_search():
+    t = lo.bterm_to_lambda(bt.parse("B^1 B"))
+    base = lo._normal(lo._encode(t), lo.DEFAULT_BUDGET)
+
+    def uncached(cur):
+        return lo._normal(lo._APP + cur + base, lo.DEFAULT_BUDGET)
+
+    outcomes = set()
+    for max_steps in range(1, 141):
+        try:
+            want = cycles.brent_rho(base, uncached, max_steps)
+        except CycleNotFound:
+            want = None
+        try:
+            got = lo.rho_lambda(t, max_steps)
+        except CycleNotFound:
+            got = None
+        assert got == want, max_steps
+        outcomes.add(want)
+    assert outcomes == {None, (32, 20)}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_decode_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        seen = []
+
+        def var(i):
+            seen.append(gc.isenabled())
+            return Var(i)
+
+        assert lo._decode(lo._encode(lo.B), var) == lo.B
+        assert seen == [False] * 3  # paused while the nodes are built
+        assert gc.isenabled() is enabled
+        assert lo.bterm_to_lambda(bt.parse("B B")) == App(lo.B, lo.B)
+        assert gc.isenabled() is enabled
+        with pytest.raises(IndexError):
+            lo._decode(lo._APP)  # not a whole term
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_budget_cuts_off_divergence():
@@ -251,7 +314,7 @@ def test_deep_monomial_through_the_lambda_route():
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
-                    reason="about 4 minutes; set RUN_SLOW=1 to enable")
+                    reason="about 64 s and 174 MB; set RUN_SLOW=1 to enable")
 def test_rho_lambda_pins_b4b():
     # a second full route for B^4 B, apart from the canonical and restricted engines
     assert lo.rho_lambda(lo.bterm_to_lambda(bt.parse("B^4 B"))) == (191206, 431453)
