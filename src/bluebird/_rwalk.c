@@ -5,11 +5,17 @@
    application pair to the id of its normal form; app is
    RestrictedEngine.app with its pending list as an explicit stack of
    frames over a stack of argument ids. rr_new starts from a copy of the
-   Python engine's tables, so ids, contraction counts and node counts agree
-   with it exactly. rr_walk sets made[0..2] to the advances made, the
-   contractions and the nodes, and returns 1 on equal states, 0 after k
-   advances, -1 past the contraction budget and -2 when memory or the
-   32-bit ids run out. */
+   Python engine's tables. The tables stay bounded: once every nodes have
+   been made since the last compaction, the next advance starts by keeping
+   only rr_new's nodes, the walk's x and y and what they reach, renumbered
+   in order, and by clearing the pair table in place down to rr_new's
+   entries and one per node; restricted.PyStepper does the same in Python,
+   so ids, contraction counts and node counts agree with it exactly. An id
+   other than x, y and rr_new's is valid only until the next rr_walk.
+   rr_walk sets made[0..3] to the advances made, the contractions, the
+   nodes made in all and the nodes held, and returns 1 on equal states, 0
+   after k advances, -1 past the contraction budget and -2 when memory or
+   the 32-bit ids run out. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -35,6 +41,12 @@ typedef struct {
     frame *pend;
     int64_t npend, pend_cap;
     int64_t steps, max_steps, base;
+    int32_t *given;             /* the m entries rr_new was given, as triples */
+    int64_t given_n;
+    int64_t keep, every, mark;  /* rr_new's n nodes, and when to compact */
+    int64_t dropped;            /* nodes compaction has dropped */
+    int32_t *to;                /* compaction's renumbering */
+    int64_t to_cap;
 } tables;
 
 static slot *find(const tables *t, int32_t fn, int32_t arg)
@@ -47,9 +59,8 @@ static slot *find(const tables *t, int32_t fn, int32_t arg)
     return s;
 }
 
-/* the table is mapped and unmapped directly: from malloc, a search after
-   the first would keep freed pieces of the smaller tables resident, about
-   30 MB more at degree 4 */
+/* the table is mapped and unmapped directly, so that a freed table goes
+   back to the system at once; compaction clears it in place */
 static int new_table(tables *t, int64_t cap, int64_t shift)
 {
     size_t size = (size_t)cap * sizeof(slot);
@@ -159,47 +170,96 @@ static int64_t app(tables *t, int32_t fn, int32_t arg)
     }
 }
 
+/* put fn arg -> out into the table unless fn arg is there; it never grows
+   the table: rr_new sizes it for its entries, and compaction puts back a
+   subset of what the table held before */
+static void put(tables *t, int32_t fn, int32_t arg, int32_t out)
+{
+    slot *s = find(t, fn, arg);
+    if (s->out < 0) {
+        *s = (slot){fn, arg, out};
+        t->used++;
+    }
+}
+
+/* keep the nodes below keep, *x, *y and every node they reach, renumbered
+   in increasing order; the table then holds rr_new's entries and one per
+   node, and every other memo is gone. A node's children have smaller ids,
+   so one sweep down marks and one sweep up renumbers. */
+static int compact(tables *t, int64_t *x, int64_t *y)
+{
+    int32_t *node = t->node, *to;
+    int64_t i, n = t->keep;
+    if (reserve((void **)&t->to, &t->to_cap, t->nodes, sizeof *t->to)) return NOMEM;
+    to = t->to;
+    memset(to + n, 0, (size_t)(t->nodes - n) * sizeof *to);
+    to[*x] = 1;
+    if (y) to[*y] = 1;
+    for (i = t->nodes - 1; i >= n; i--)
+        if (to[i] && node[2 * i] >= 0) to[node[2 * i]] = to[node[2 * i + 1]] = 1;
+    for (i = 0; i < n; i++) to[i] = (int32_t)i;
+    for (i = n; i < t->nodes; i++)
+        if (to[i]) {
+            int32_t fn = node[2 * i], arg = node[2 * i + 1];
+            node[2 * n] = fn < 0 ? fn : to[fn];
+            node[2 * n + 1] = fn < 0 ? arg : to[arg];
+            to[i] = (int32_t)n++;
+        }
+    *x = to[*x];
+    if (y) *y = to[*y];
+    t->dropped += t->nodes - n;
+    t->nodes = t->mark = n;
+    memset(t->tab, 0xff, (size_t)t->cap * sizeof *t->tab);
+    t->used = 0;
+    for (i = 0; i < 3 * t->given_n; i += 3) put(t, t->given[i], t->given[i + 1], t->given[i + 2]);
+    for (i = 0; i < n; i++) put(t, node[2 * i], node[2 * i + 1], (int32_t)i);
+    return 0;
+}
+
 void rr_free(tables *t)
 {
     if (!t) return;
     if (t->tab) munmap(t->tab, (size_t)t->cap * sizeof *t->tab);
-    free(t->node); free(t->args); free(t->pend);
+    free(t->node); free(t->args); free(t->pend); free(t->given); free(t->to);
     free(t);
 }
 
 /* tables holding n nodes node[0..2n) and m entries pairs[3j] pairs[3j + 1]
-   -> pairs[3j + 2], with steps contractions made of max_steps; NULL when
+   -> pairs[3j + 2], with steps contractions made of max_steps, that compact
+   once every nodes have been made since the last compaction; NULL when
    memory runs out */
 tables *rr_new(const int64_t *node, int64_t n, const int64_t *pairs, int64_t m,
-               int64_t base, int64_t steps, int64_t max_steps)
+               int64_t base, int64_t steps, int64_t max_steps, int64_t every)
 {
     tables *t = calloc(1, sizeof *t);
     int64_t cap = 1024, shift = 54;
     if (!t) return NULL;
     while (4 * m > 3 * cap) { cap *= 2; shift--; }
     if (new_table(t, cap, shift)
-        || reserve((void **)&t->node, &t->node_cap, 2 * n, sizeof *t->node)) {
+        || reserve((void **)&t->node, &t->node_cap, 2 * n, sizeof *t->node)
+        || !(t->given = malloc((size_t)(3 * m + 1) * sizeof *t->given))) {
         rr_free(t);
         return NULL;
     }
     for (int64_t i = 0; i < 2 * n; i++) t->node[i] = (int32_t)node[i];
-    for (int64_t j = 0; j < 3 * m; j += 3) {
-        slot *s = find(t, (int32_t)pairs[j], (int32_t)pairs[j + 1]);
-        *s = (slot){(int32_t)pairs[j], (int32_t)pairs[j + 1], (int32_t)pairs[j + 2]};
-    }
-    t->nodes = n; t->used = m;
+    for (int64_t j = 0; j < 3 * m; j++) t->given[j] = (int32_t)pairs[j];
+    t->given_n = m;
+    for (int64_t j = 0; j < 3 * m; j += 3) put(t, t->given[j], t->given[j + 1], t->given[j + 2]);
+    t->nodes = t->keep = t->mark = n; t->every = every;
     t->steps = steps; t->max_steps = max_steps; t->base = base;
     return t;
 }
 
 /* cycles.Stepper.walk: advance x, and y too when both is set, up to k
    times by one application to the base, stopping at the first x equal to
-   y (never when y is NULL) */
+   y (never when y is NULL); each advance starts with a compaction once
+   every nodes have been made since the last one */
 int rr_walk(tables *t, int64_t *x, int64_t *y, int both, int64_t k, int64_t *made)
 {
     int64_t i = 0, a = 0;
     int hit = 0;
     for (; i < k && !hit; i++) {
+        if (t->nodes - t->mark >= t->every && (a = compact(t, x, y)) < 0) break;
         if ((a = app(t, (int32_t)*x, (int32_t)t->base)) < 0) break;
         *x = a;
         if (both) {
@@ -208,7 +268,7 @@ int rr_walk(tables *t, int64_t *x, int64_t *y, int both, int64_t k, int64_t *mad
         }
         hit = y && *x == *y;
     }
-    made[0] = i; made[1] = t->steps; made[2] = t->nodes;
+    made[0] = i; made[1] = t->steps; made[2] = t->nodes + t->dropped; made[3] = t->nodes;
     if (a < 0) {
         t->nargs = t->npend = 0;
         return (int)a;

@@ -19,7 +19,16 @@ isolation matters.
 
 find_rho_restricted walks its orbit in C when it can: CStepper runs
 _rwalk.c, the same app over a copy of the engine's tables (walk.load
-builds it), and frees that copy when the search ends.
+builds it), and frees that copy when the search ends; else PyStepper runs
+it on the engine itself. Both keep the search's tables bounded: once
+COMPACT_EVERY nodes have been made since the last compaction, the next
+advance starts by keeping only the nodes the stepper started with, the
+walk's pointers and what they reach, renumbered in order, and by dropping
+every memo but the pairs the stepper started with and one per node. So an
+id the walk hands back is valid only until the next walk call, unless it
+is one of that call's pointers or older than the stepper; cycles.search
+passes every id it still holds. RestrictedEngine.app itself never
+compacts.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .errors import StepBudgetExceeded
 
 MAX_CONTRACTIONS = 10**7  # default contraction budget of every restricted entry point
 LIMIT = 2**31 - 1  # bound on every id and constant of the compiled walk
+COMPACT_EVERY = 2**14  # nodes made between two compactions of a search's tables
 
 
 class RConst(bt._Frozen):
@@ -198,11 +208,67 @@ def fits(eng: RestrictedEngine) -> bool:
     return len(eng._node) < LIMIT and all(k < LIMIT for fn, k in eng._node if fn < 0)
 
 
+class PyStepper(cycles.Stepper):
+    """Stepper.walk over the orbit step eng.app(i, base) in Python, with
+    _rwalk.c's compaction step for step: the same trigger, renumbering and
+    surviving pairs, so that both agree on answers, contractions and nodes.
+    counts holds the advances of the last call, the contractions, the nodes
+    made in all and the nodes held."""
+
+    def __init__(self, eng: RestrictedEngine, base: int) -> None:
+        self.eng, self.base = eng, base
+        self.keep = self.mark = len(eng._node)
+        self.given = dict(eng._apps)
+        self.every, self.dropped = COMPACT_EVERY, 0
+        self.counts = [0, eng.steps, self.keep, self.keep]
+
+    def walk(self, a, b, k, both):
+        eng, base, n = self.eng, self.base, 0
+        try:
+            while n < k:
+                if len(eng._node) - self.mark >= self.every:
+                    a, b = self._compact(a, b)
+                a = eng.app(a, base)
+                if both:
+                    b = eng.app(b, base)
+                n += 1
+                if b is not None and a == b:
+                    return a, b, n, True
+            return a, b, k, False
+        finally:
+            self.counts = [n, eng.steps, len(eng._node) + self.dropped, len(eng._node)]
+
+    def _compact(self, a, b):
+        """a and b renumbered, after keeping the first keep nodes, a, b and
+        what they reach; a node's children have smaller ids."""
+        node, keep = self.eng._node, self.keep
+        live = bytearray(len(node))
+        live[a] = 1
+        if b is not None:
+            live[b] = 1
+        for i in range(len(node) - 1, keep - 1, -1):
+            if live[i] and node[i][0] >= 0:
+                fn, arg = node[i]
+                live[fn] = live[arg] = 1
+        to, kept = list(range(len(node))), node[:keep]
+        for i in range(keep, len(node)):
+            if live[i]:
+                fn, arg = node[i]
+                to[i] = len(kept)
+                kept.append((to[fn], to[arg]) if fn >= 0 else (fn, arg))
+        self.dropped += len(node) - len(kept)
+        self.mark = len(kept)
+        self.eng._node = kept
+        self.eng._apps = apps = dict(self.given)
+        apps.update(zip(kept, range(len(kept))))
+        return to[a], None if b is None else to[b]
+
+
 class CStepper(cycles.Stepper):
-    """Stepper.walk over the orbit step eng.app(i, base), run by _rwalk.c on
-    a copy of eng's tables that lives until close; eng.steps follows the
-    copy's contractions, and counts holds the advances of the last call,
-    the contractions and the nodes."""
+    """PyStepper's walk, compaction included, run by _rwalk.c on a copy of
+    eng's tables that lives until close; eng.steps follows the copy's
+    contractions, and counts holds the advances of the last call, the
+    contractions, the nodes made in all and the nodes held."""
 
     name = "c"
 
@@ -217,11 +283,12 @@ class CStepper(cycles.Stepper):
             return (int64 * len(buf)).from_buffer(buf)
 
         self.lib, self.eng = lib, eng
-        self.x, self.y, self.counts = int64(), int64(), (int64 * 3)()
+        self.x, self.y, self.counts = int64(), int64(), (int64 * 4)()
         self.tables = lib.rr_new(
             ints(chain.from_iterable(eng._node)), len(eng._node),
             ints(chain.from_iterable((*key, i) for key, i in eng._apps.items())),
-            len(eng._apps), base, eng.steps, max(-1, min(eng.max_steps, 2**63 - 1)))
+            len(eng._apps), base, eng.steps, max(-1, min(eng.max_steps, 2**63 - 1)),
+            COMPACT_EVERY)
         if not self.tables:
             raise MemoryError("no memory for the restricted tables")
 
@@ -256,10 +323,12 @@ def find_rho_restricted(
     Brent's; algorithm accepts only "brent".
 
     The compiled walk (CStepper) makes the advances when it builds and the
-    base's tables fit its ints, else the Python stepper over
-    RestrictedEngine.app, in chunks of at most 2^20 advances per pointer
-    (about 0.6 s compiled on degree 4), so that a Ctrl-C lands between
-    them."""
+    base's tables fit its ints, else PyStepper over RestrictedEngine.app,
+    in chunks of at most 2^20 advances per pointer (about 0.35 s compiled
+    on degree 4), so that a Ctrl-C lands between them. Both compact the
+    search's tables every COMPACT_EVERY new nodes, so memory stays bounded
+    and contractions a later advance would have looked up are made again:
+    about 3.5 million instead of 1.2 million on degree 4."""
     if algorithm != "brent":
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if isinstance(x, str):
@@ -270,7 +339,7 @@ def find_rho_restricted(
     if lib and fits(eng):
         stepper = CStepper(lib, eng, base)
     else:
-        stepper = cycles.Stepper(lambda i: eng.app(i, base))
+        stepper = PyStepper(eng, base)
     try:  # the first advance goes through the stepper too, so every app lands in its tables
         st = cycles.start(base, lambda i: stepper.walk(i, None, 1, False)[0])
         return cycles.search(st, stepper, max_steps, chunk=1 << 20)

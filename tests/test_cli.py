@@ -169,10 +169,13 @@ class TestRho:
         src = str(Path(bluebird.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        # a suite started in the background passes SIGINT on ignored, and a
+        # child that inherits that never sees the signal
         proc = subprocess.Popen(
             [sys.executable, "-m", "bluebird.cli", "rho", "--checkpoint", str(ck),
              "--checkpoint-interval", "1000", "B^5 B"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         try:
             # the first periodic save shows the search loop is running; B^5 B
             # outlasts the poll, where the compiled walk ends B^4 B in 0.3 s

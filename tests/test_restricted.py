@@ -3,6 +3,7 @@
 import inspect
 import os
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -223,61 +224,133 @@ def route(request):
     return request.param
 
 
-def _search(t, max_steps, budget, route, chunk=1 << 20):
+def _search(t, max_steps, budget, route, chunk=1 << 20, tick=None):
     """find_rho_restricted's search of t on one stepper, "c" or "py": its
-    RhoResult or exception class, the contractions and the nodes."""
+    RhoResult or exception class, the contractions, the nodes made in all
+    and the nodes held at the end."""
     eng = RestrictedEngine(budget)
     base = eng.intern(t)
     if route == "c":
         stepper = restricted.CStepper(walk.load(walk.RSOURCE), eng, base)
     else:
-        stepper = cycles.Stepper(lambda i: eng.app(i, base))
+        stepper = restricted.PyStepper(eng, base)
     try:
         st = cycles.start(base, lambda i: stepper.walk(i, None, 1, False)[0])
-        got = cycles.search(st, stepper, max_steps, chunk=chunk)
+        got = cycles.search(st, stepper, max_steps, tick=tick and (lambda st: tick(stepper)),
+                            chunk=chunk)
     except (CycleNotFound, StepBudgetExceeded) as exc:
         got = type(exc)
     finally:
         if route == "c":
             stepper.close()
-    return got, eng.steps, stepper.counts[2] if route == "c" else len(eng._node)
+    return got, eng.steps, stepper.counts[2], stepper.counts[3]
 
 
 @settings(deadline=None, max_examples=150)
 @given(hs.one_of(rterms, spines, hs.builds(monomial_rterm, hs.integers(0, 3))),
-       hs.integers(1, 20000), hs.integers(0, 20000), hs.integers(1, 400))
-def test_compiled_walk_matches_python(t, max_steps, budget, chunk):
-    # the same answer or exception, contractions and nodes; the chunk only
-    # changes how the compiled side's work is cut up
+       hs.integers(1, 20000), hs.integers(0, 20000), hs.integers(1, 400),
+       hs.sampled_from([1, 2, 7, 64, restricted.COMPACT_EVERY]))
+def test_compiled_walk_matches_python(t, max_steps, budget, chunk, every):
+    # the same answer or exception, contractions and nodes at every
+    # compaction interval, and the answer of a search whose tables only
+    # grow; the chunk only changes how the compiled side's work is cut up
     if walk.load(walk.RSOURCE) is None:
         pytest.skip("no C compiler to build the compiled restricted walk")
-    try:
-        want = _search(t, max_steps, budget, "py")
-    except StepBudgetExceeded:  # already while interning the base
-        with pytest.raises(StepBudgetExceeded):
-            _search(t, max_steps, budget, "c")
-        return
-    assert _search(t, max_steps, budget, "c", chunk) == want
+    with mock.patch.object(restricted, "COMPACT_EVERY", every):
+        try:
+            want = _search(t, max_steps, budget, "py")
+        except StepBudgetExceeded:  # already while interning the base
+            with pytest.raises(StepBudgetExceeded):
+                _search(t, max_steps, budget, "c")
+            return
+        assert _search(t, max_steps, budget, "c", chunk) == want
+    if want[0] is not StepBudgetExceeded:  # growing tables make fewer contractions
+        eng = RestrictedEngine(budget)
+        base = eng.intern(t)
+        try:
+            got = cycles.brent_rho(base, lambda i: eng.app(i, base), max_steps)
+        except CycleNotFound:
+            got = CycleNotFound
+        assert got == want[0]
+
+
+def test_compaction_between_chunks(lib, monkeypatch):
+    # one advance per call: every compaction opens a call, with only the
+    # ids the search passes back in
+    monkeypatch.setattr(restricted, "COMPACT_EVERY", 64)
+    want = _search(monomial_rterm(3), 10**5, MAX_CONTRACTIONS, "c")
+    assert want[0] == (4267, 5796) and want[2] > want[3]
+    assert _search(monomial_rterm(3), 10**5, MAX_CONTRACTIONS, "c", chunk=1) == want
+    assert _search(monomial_rterm(3), 10**5, MAX_CONTRACTIONS, "py", chunk=1) == want
+
+
+def test_compaction_on_a_budget_stop(lib, monkeypatch):
+    # a budget that runs out in the first contraction after a compaction
+    monkeypatch.setattr(restricted, "COMPACT_EVERY", 64)
+    at, compact = [], restricted.PyStepper._compact
+
+    def record(self, a, b):
+        at.append(self.eng.steps)
+        return compact(self, a, b)
+
+    monkeypatch.setattr(restricted.PyStepper, "_compact", record)
+    _search(monomial_rterm(3), 10**5, MAX_CONTRACTIONS, "py")
+    budget = at[len(at) // 2]
+    at.clear()
+    want = _search(monomial_rterm(3), 10**5, budget, "py")
+    assert want[:2] == (StepBudgetExceeded, budget + 1) and at[-1] == budget
+    assert _search(monomial_rterm(3), 10**5, budget, "c") == want
+
+
+def _held_after_each_chunk(degree, advances, route, chunk):
+    """The nodes the search's base holds, and the nodes held after each
+    chunk of a search stopped after advances advances."""
+    held = []
+    read = (lambda s: s.counts[3]) if route == "c" else (lambda s: len(s.eng._node))
+    eng = RestrictedEngine()
+    eng.intern(monomial_rterm(degree))
+    got = _search(monomial_rterm(degree), advances, MAX_CONTRACTIONS, route, chunk,
+                  tick=lambda s: held.append(read(s)))
+    assert got[0] is CycleNotFound
+    return len(eng._node), held
+
+
+def test_search_tables_stay_bounded(lib, monkeypatch):
+    # without compaction degree 5 holds 2,173,487 nodes after 5*10^5 advances
+    keep, held = _held_after_each_chunk(5, 5 * 10**5, "c", 1 << 12)
+    assert len(held) > 100 and max(held) <= keep + restricted.COMPACT_EVERY + 256
+    monkeypatch.setattr(restricted, "COMPACT_EVERY", 64)
+    keep, held = _held_after_each_chunk(4, 2 * 10**4, "py", 64)
+    assert len(held) > 100 and max(held) <= keep + 64 + 256
 
 
 def test_degree_three_budget_edge(route):
     base = monomial_rterm(3)
-    assert _search(base, 10**5, 18632, route)[:2] == (StepBudgetExceeded, 18633)
-    assert _search(base, 10**5, 18633, route)[:2] == ((4267, 5796), 18633)
+    assert _search(base, 10**5, 52905, route)[:2] == (StepBudgetExceeded, 52906)
+    assert _search(base, 10**5, 52906, route)[:2] == ((4267, 5796), 52906)
 
 
 @pytest.mark.parametrize("degree,want", [
     (0, ((9, 4), 8, 12)),
     (1, ((36, 20), 74, 80)),
     (2, ((274, 36), 520, 679)),
-    (3, ((4267, 5796), 18633, 28924)),
-    (4, ((191249, 431453), 1190209, 2155804)),
+    (3, ((4267, 5796), 52906, 83601)),
+    (4, ((191249, 431453), 3478620, 6862852)),
 ])
 def test_both_routes_pin_degrees_zero_to_four(route, degree, want):
-    # degree 4 takes about 1.2 s compiled and 6 s in Python
+    # degree 4 takes about 0.6 s compiled and 15 s in Python
     if route == "py" and degree == 4 and not os.environ.get("RUN_SLOW"):
-        pytest.skip("about 6 s on the Python stepper; set RUN_SLOW=1 to enable")
-    assert _search(monomial_rterm(degree), cycles.MAX_STEPS, MAX_CONTRACTIONS, route) == want
+        pytest.skip("about 15 s on the Python stepper; set RUN_SLOW=1 to enable")
+    assert _search(monomial_rterm(degree), cycles.MAX_STEPS, MAX_CONTRACTIONS, route)[:3] == want
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
+                    reason="about 22 min and 16 MB compiled; set RUN_SLOW=1 to enable")
+def test_degree_five_checks_the_cycle_of_b5b(lib):
+    # a second route to B^5 B's cycle length (234444571), in another
+    # rewriting system: 3,075,113,667 advances and 6,133,257,743 contractions
+    assert find_rho_restricted(monomial_rterm(5), rewrite_budget=10**10) == (
+        766241352, 234444571)
 
 
 def test_every_search_frees_its_tables(lib, monkeypatch):

@@ -15,13 +15,15 @@ no timed run builds a library, or removes the other side's. Every other
 variable is inherited. The output holds how the children are started,
 and per workload and end-to-end metric the value of every pair, each
 side's median and quartiles, and how many pairs this checkout won (a
-lower value wins); a rerun replaces only the workloads it runs. With
---readme, the README cells that quote the benchmark are rewritten from
-this checkout's quartiles: the time of the `B^4 B` row of the timing
-table (orbit-b4 wall_s), the time and memory of the degree-4 row of the
-restricted table (orbit-r4 wall_s and peak_rss_mb), the time of the
-lambda engine's `B^3 B` row (lambda-b3 wall_s) and the time of a decide
-round (decide wall_s).
+lower value wins); a rerun replaces only the workloads it runs. After
+the workloads, each side runs the Tier-1 suite once in its own
+environment, and the output holds the suite's wall time, summary line and
+ten slowest tests. With --readme, the README cells that quote the
+benchmark are rewritten from this checkout's quartiles: the time of the
+`B^4 B` row of the timing table (orbit-b4 wall_s), the time and memory
+of the degree-4 row of the restricted table (orbit-r4 wall_s and
+peak_rss_mb), the time of the lambda engine's `B^3 B` row (lambda-b3
+wall_s) and the time of a decide round (decide wall_s).
 """
 
 from __future__ import annotations
@@ -30,10 +32,13 @@ import argparse
 import json
 import os
 import platform
+import re
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,6 +56,8 @@ LAUNCH = {
     },
     "inherited": "every other variable of the tool's environment",
 }
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--durations=10", "-p", "no:cacheprovider"]
 
 
 def child_env(cache: str, pycache: str) -> dict:
@@ -79,6 +86,26 @@ def run_once(checkout: Path, cache: str, workload: str, seed: int, seconds: floa
     if not result["correct"]:
         raise SystemExit(f"{checkout}: {workload} seed {seed} is not correct:\n{proc.stderr}")
     return result
+
+
+def tier1(checkout: Path, cache: str) -> dict:
+    """One run of the Tier-1 suite: its wall time, summary line and ten
+    slowest tests as (seconds, test id)."""
+    with tempfile.TemporaryDirectory() as pycache:
+        env = dict(child_env(cache, pycache), PYTHONPATH=os.pathsep.join(
+            ["src"] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        t0 = time.perf_counter()
+        # with SIGINT at its default, whether or not this tool runs in the
+        # background: the suite sends it to a child and waits for it to stop
+        proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True, text=True,
+                              check=False,
+                              preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        wall = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    slowest = [(float(line.split("s ", 1)[0]), line.split(None, 2)[2]) for line in lines
+               if re.match(r"\d+\.\d+s (call|setup|teardown) ", line)]
+    return {"wall_s": round(wall, 2), "summary": lines[-1].strip("= ") if lines else "",
+            "returncode": proc.returncode, "slowest": slowest}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -160,6 +187,10 @@ def main() -> int:
                       flush=True)
             report["workloads"][workload] = {"pairs": args.pairs, "seconds": args.seconds,
                                              "metrics": summarize(runs)}
+            args.out.write_text(json.dumps(report, indent=1) + "\n")
+        if args.workload:
+            report["tier1"] = {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:]),
+                               "base": tier1(args.base, base_cache), "new": tier1(ROOT, cache)}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.readme:
         readme_cells(args.readme, report["workloads"])
