@@ -216,6 +216,12 @@ static int compact(tables *t, int64_t *x, int64_t *y)
     return 0;
 }
 
+/* node i's pair fn arg as fn * 2^32 + arg, for reading a term back */
+int64_t rr_node(const tables *t, int64_t i)
+{
+    return (int64_t)t->node[2 * i] * 4294967296 + t->node[2 * i + 1];
+}
+
 void rr_free(tables *t)
 {
     if (!t) return;

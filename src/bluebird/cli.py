@@ -28,7 +28,7 @@ from . import bterm as bt
 from . import cycles
 from . import restricted as rr
 from .canonical import canonicalize, equivalent_bterms, tree_of
-from .cycle_detect import find_rho, iterate
+from .cycle_detect import engine, iterate
 from .errors import (
     CheckpointIO,
     CycleNotFound,
@@ -38,18 +38,17 @@ from .errors import (
 from .trees import split_spine
 
 
-def _progress_hook():
-    """A find_rho state_hook that reports the search to stderr at most once
-    a second, as chunks of advances finish."""
+def _progress_hook(size):
+    """A cycles.run state_hook that reports the search to stderr at most once
+    a second, as chunks of advances finish; size measures the slow state."""
     last = [time.monotonic()]
 
     def hook(st):
         now = time.monotonic()
         if now - last[0] >= 1.0:
             last[0] = now
-            units = sum(m for _, m in st.slow)
             print(f"progress: phase={st.phase} step={st.step} advances={st.advances} "
-                  f"seq-units={units} stepper={st.stepper}", file=sys.stderr, flush=True)
+                  f"seq-units={size(st.slow)} stepper={st.stepper}", file=sys.stderr, flush=True)
 
     return hook
 
@@ -72,34 +71,27 @@ def cmd_is_monomial(args) -> int:
     return 0 if mono else 1
 
 
-def _lambda_input(text: str):
-    """A combinator that lambda_oracle defines by name (B, C, K, I, ...),
-    else the image of a B-term."""
+def _lambda_engine(text: str):
+    """The lambda engine's orbit of a combinator that lambda_oracle defines
+    by name (B, C, K, I, ...), else of the image of a B-term."""
     from . import lambda_oracle as lo
 
     named = getattr(lo, text.strip(), None)
-    if isinstance(named, lo.Abs):
-        return named
-    return lo.bterm_to_lambda(bt.parse(text))
+    return lo.engine(named if isinstance(named, lo.Abs) else lo.bterm_to_lambda(bt.parse(text)))
+
+
+_ENGINES = {  # each engine's orbit of a term; the restricted budget follows --max-steps
+    "canonical": engine,
+    "lambda": _lambda_engine,
+    "restricted": lambda text: rr.engine(text, None),
+}
 
 
 def cmd_rho(args) -> int:
-    if args.engine == "canonical":
-        result = find_rho(
-            args.term,
-            max_steps=args.max_steps,
-            checkpoint_path=args.checkpoint,
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_seconds=args.checkpoint_seconds,
-            resume=args.resume,
-            state_hook=_progress_hook() if args.progress else None,
-        )
-    elif args.engine == "lambda":
-        from .lambda_oracle import rho_lambda
-
-        result = rho_lambda(_lambda_input(args.term), max_steps=args.max_steps)
-    else:
-        result = rr.find_rho_restricted(args.term, max_steps=args.max_steps)
+    orbit = _ENGINES[args.engine](args.term)
+    result = cycles.run(orbit, args.max_steps, args.checkpoint, args.checkpoint_interval,
+                        args.checkpoint_seconds, args.resume,
+                        _progress_hook(orbit.size) if args.progress else None)
     print(f"rho = ({result.entry}, {result.cycle})")
     return 0
 
@@ -174,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="canonical")
     p.add_argument("--max-steps", type=int, default=cycles.MAX_STEPS)
     p.add_argument("--checkpoint", metavar="PATH",
-                   help="write periodic checkpoints (canonical engine only)")
+                   help="write periodic checkpoints, and one on a stop or Ctrl-C")
     p.add_argument("--checkpoint-interval", type=int, default=10**7,
                    metavar="N", help="advances between checkpoints")
     p.add_argument("--checkpoint-seconds", type=float, default=60.0,
@@ -182,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true",
                    help="continue from the checkpoint file")
     p.add_argument("--progress", action="store_true",
-                   help="report progress to stderr (canonical engine only)")
+                   help="report progress to stderr at most once a second")
     p.set_defaults(func=cmd_rho)
 
     p = sub.add_parser("iterate", help="print canonical forms along the orbit")
@@ -215,12 +207,7 @@ _EXIT_CODES = ((ParseError, 2), (_UsageError, 2), (CycleNotFound, 3),
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "engine", None) != "canonical":
-        if (getattr(args, "checkpoint", None) or getattr(args, "resume", False)
-                or getattr(args, "progress", False)):
-            parser.error("--checkpoint/--resume/--progress need --engine canonical")
+    args = build_parser().parse_args(argv)
     try:
         for dest, least in _MINIMA.items():
             value = getattr(args, dest, None)

@@ -12,7 +12,7 @@ argument; _ABS, then body; Var(i) as chr(i + 2). Beta runs a machine on a
 tree parsed once from it, eta two linear passes; every walk is a loop with
 an explicit stack, so term depth costs no interpreter stack.
 
-rho_lambda keeps each orbit state's successor for the length of one call,
+rho_lambda keeps each orbit state's successor for the length of one run,
 so it normalizes every distinct state once; that costs one string per
 distinct state (about 140 MB for B^4 B).
 """
@@ -282,22 +282,11 @@ def lambda_to_tree(t: LambdaTerm) -> BinTree:
     return _decode(body, lambda i: LEAF, Node)
 
 
-def rho_lambda(t: LambdaTerm, max_steps: int = cycles.MAX_STEPS) -> cycles.RhoResult:
-    """Cycle of the flat self-application sequence of t under beta-eta equality.
-
-    Returns the search core's cycles.RhoResult; the core only compares
-    states, so the answer rests on this module's normalizer alone. States
-    are normal forms as prefix strings; an advance is one application
-    followed by normalization, so this is the slow reference engine.
-    Brent's search visits states again (its phase-2 rebuild and lockstep
-    walk, the hare's second lap), so each state's successor is kept in a
-    dict for the call: every distinct state is normalized exactly once,
-    while the search counts and budgets its advances as before. The cost
-    is memory, one string per distinct state (entry + cycle of them):
-    about 87 characters each for B^3 B, about 140 MB in all for B^4 B.
-    Raises CycleNotFound past the horizon, StepBudgetExceeded if a normal
-    form cannot be reached.
-    """
+def engine(t: LambdaTerm) -> cycles.Engine:
+    """The flat self-application orbit of t under beta-eta equality, for
+    cycles.run: normal forms as prefix strings, one line each by unicode_escape.
+    Each state's successor is kept for the run, as Brent's search visits states
+    again: every distinct state is normalized once (140 MB in all for B^4 B)."""
     base = _normal(_encode(t), DEFAULT_BUDGET)
     succ: dict[str, str] = {}
 
@@ -307,7 +296,24 @@ def rho_lambda(t: LambdaTerm, max_steps: int = cycles.MAX_STEPS) -> cycles.RhoRe
             nxt = succ[cur] = _normal(_APP + cur + base, DEFAULT_BUDGET)
         return nxt
 
-    return cycles.brent_rho(base, advance, max_steps)
+    return cycles.Engine("lambda", _line(base), base,
+                         lambda st, max_steps: cycles.Stepper(advance), _line, _unline)
+
+
+def _line(code: str) -> str:
+    return code.encode("unicode_escape").decode("ascii")
+
+
+def _unline(text: str) -> str:
+    code = text.encode("ascii").decode("unicode_escape")
+    if _encode(_decode(code)) != code:
+        raise ValueError("not the prefix string of one lambda term")
+    return code
+
+
+def rho_lambda(t: LambdaTerm, max_steps: int = cycles.MAX_STEPS) -> cycles.RhoResult:
+    """cycles.run over engine(t); StepBudgetExceeded if a state has no normal form."""
+    return cycles.run(engine(t), max_steps)
 
 
 def format_lambda(t: LambdaTerm) -> str:

@@ -17,18 +17,19 @@ ids. One table maps each application pair to its normal form. Budgets and
 tables live on the engine instance; use one engine per search when
 isolation matters.
 
-find_rho_restricted walks its orbit in C when it can: CStepper runs
-_rwalk.c, the same app over a copy of the engine's tables (walk.load
-builds it), and frees that copy when the search ends; else PyStepper runs
-it on the engine itself. Both keep the search's tables bounded: once
+A search (engine, for cycles.run) walks its orbit in C when it can:
+CStepper runs _rwalk.c, the same app over a copy of the engine's tables
+(walk.load builds it), and frees that copy when the search ends; else
+PyStepper runs it on the engine itself. Both bound the tables: once
 COMPACT_EVERY nodes have been made since the last compaction, the next
 advance starts by keeping only the nodes the stepper started with, the
 walk's pointers and what they reach, renumbered in order, and by dropping
 every memo but the pairs the stepper started with and one per node. So an
 id the walk hands back is valid only until the next walk call, unless it
-is one of that call's pointers or older than the stepper; cycles.search
-passes every id it still holds. RestrictedEngine.app itself never
-compacts.
+is one of that call's pointers or older than the stepper: a walk call
+that raises, and the phase-2 rebuild, leave the search's ids stale, so
+cycles.run saves the RTerms it reads back after each chunk, never ids.
+RestrictedEngine.app itself never compacts.
 """
 
 from __future__ import annotations
@@ -175,25 +176,30 @@ class RestrictedEngine:
 
     def extern(self, i: int) -> RTerm:
         """The normal form that id i names; shared ids become shared subterms."""
-        memo: dict[int, RTerm] = {}
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            if j in memo:
-                continue
-            a, b = self._node[j]
-            if a < 0:
-                memo[j] = RConst(b)
-            elif a in memo and b in memo:
-                memo[j] = RApp(memo[a], memo[b])
-            else:
-                stack += (j, b, a)
-        return memo[i]
+        return _extern(self._node.__getitem__, i)
 
     def normalize(self, i: int) -> int:
         """i itself: every id already names a normal form. Kept for callers
         written as normalize(app(...))."""
         return i
+
+
+def _extern(node, i: int) -> RTerm:
+    """The term that id i names, where node(j) is the pair of id j."""
+    memo: dict[int, RTerm] = {}
+    stack = [i]
+    while stack:
+        j = stack.pop()
+        if j in memo:
+            continue
+        a, b = node(j)
+        if a < 0:
+            memo[j] = RConst(b)
+        elif a in memo and b in memo:
+            memo[j] = RApp(memo[a], memo[b])
+        else:
+            stack += (j, b, a)
+    return memo[i]
 
 
 def rnormalize(t: RTerm, max_steps: int = MAX_CONTRACTIONS) -> RTerm:
@@ -221,6 +227,7 @@ class PyStepper(cycles.Stepper):
         self.given = dict(eng._apps)
         self.every, self.dropped = COMPACT_EVERY, 0
         self.counts = [0, eng.steps, self.keep, self.keep]
+        self.extern = eng.extern
 
     def walk(self, a, b, k, both):
         eng, base, n = self.eng, self.base, 0
@@ -305,10 +312,45 @@ class CStepper(cycles.Stepper):
             raise MemoryError("no memory or ids left for the restricted tables")
         return self.x.value, None if b is None else self.y.value, self.counts[0], status == 1
 
+    def extern(self, i: int) -> RTerm:
+        """The term that id i names, read back from the compiled tables."""
+        return _extern(lambda j: divmod(self.lib.rr_node(self.tables, j), 1 << 32), i)
+
     def close(self) -> None:
         """Free the tables; idempotent."""
         self.lib.rr_free(self.tables)
         self.tables = None
+
+
+def engine(x: RTerm | str, rewrite_budget: int | None = MAX_CONTRACTIONS) -> cycles.Engine:
+    """The orbit of x under the restricted rule, for cycles.run: ids of one
+    RestrictedEngine, walked by CStepper when the tables fit its ints, else by
+    PyStepper, and read back as RTerms. rewrite_budget bounds the contractions;
+    None derives it from max_steps: a contraction erases one constant and
+    copies none, so an advance costs at most c(base), and each of Brent's three
+    walks c(start) more, from the base or a resumed state."""
+    if isinstance(x, str):
+        x = parse_rterm(x)
+    eng = RestrictedEngine(MAX_CONTRACTIONS if rewrite_budget is None else rewrite_budget)
+    base = eng.intern(x)
+    made: list[cycles.Stepper] = []
+
+    def stepper(st, max_steps: int) -> cycles.Stepper:
+        if rewrite_budget is None:
+            c = lambda i: _constants(eng.extern(i))
+            starts = 3 * c(base) if st is None else 2 * c(base) + c(st.slow) + c(st.fast)
+            eng.max_steps = eng.steps + max_steps * c(base) + starts
+        lib = walk.load(walk.RSOURCE)
+        made.append(CStepper(lib, eng, base) if lib and fits(eng) else PyStepper(eng, base))
+        return made[-1]
+
+    return cycles.Engine("restricted", format_rterm(x), base, stepper, format_rterm,
+                         lambda text: eng.intern(parse_rterm(text)),
+                         plain=lambda i: made[-1].extern(i), size=_constants)
+
+
+def _constants(t: RTerm) -> int:
+    return format_rterm(t).count("B")  # one B per constant
 
 
 def find_rho_restricted(
@@ -318,31 +360,8 @@ def find_rho_restricted(
     rewrite_budget: int = MAX_CONTRACTIONS,
 ) -> cycles.RhoResult:
     """Least (entry, cycle) of the self-application orbit of x under the
-    restricted rule, comparing normal forms syntactically. max_steps bounds
-    orbit advances, rewrite_budget bounds total contractions. The search is
-    Brent's; algorithm accepts only "brent".
-
-    The compiled walk (CStepper) makes the advances when it builds and the
-    base's tables fit its ints, else PyStepper over RestrictedEngine.app,
-    in chunks of at most 2^20 advances per pointer (about 0.35 s compiled
-    on degree 4), so that a Ctrl-C lands between them. Both compact the
-    search's tables every COMPACT_EVERY new nodes, so memory stays bounded
-    and contractions a later advance would have looked up are made again:
-    about 3.5 million instead of 1.2 million on degree 4."""
+    restricted rule: cycles.run over engine(x, rewrite_budget), Brent's
+    search; algorithm accepts only "brent"."""
     if algorithm != "brent":
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if isinstance(x, str):
-        x = parse_rterm(x)
-    eng = RestrictedEngine(rewrite_budget)
-    base = eng.intern(x)
-    lib = walk.load(walk.RSOURCE)
-    if lib and fits(eng):
-        stepper = CStepper(lib, eng, base)
-    else:
-        stepper = PyStepper(eng, base)
-    try:  # the first advance goes through the stepper too, so every app lands in its tables
-        st = cycles.start(base, lambda i: stepper.walk(i, None, 1, False)[0])
-        return cycles.search(st, stepper, max_steps, chunk=1 << 20)
-    finally:
-        if isinstance(stepper, CStepper):
-            stepper.close()
+    return cycles.run(engine(x, rewrite_budget), max_steps)

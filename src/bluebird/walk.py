@@ -20,7 +20,6 @@ import zlib
 
 from . import cycles
 from .canonical import DegreeSeq, _seq
-from .cycles import SearchState
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
 RSOURCE = os.path.join(os.path.dirname(SOURCE), "_rwalk.c")
@@ -70,6 +69,8 @@ def load(source: str = SOURCE):
         lib.rr_new.restype = tables
         lib.rr_walk.argtypes = [tables, ptr, ptr, ctypes.c_int, int64, ptr]
         lib.rr_walk.restype = ctypes.c_int
+        lib.rr_node.argtypes = [tables, int64]
+        lib.rr_node.restype = int64
         lib.rr_free.argtypes = [tables]
         lib.rr_free.restype = None
     return lib
@@ -86,12 +87,12 @@ def fold(lib, codes: bytes) -> tuple[tuple[int, ...], int]:
     return tuple(out[2:out[0] + 2]), out[1]
 
 
-def fits(st: SearchState, max_steps: int) -> bool:
-    """Whether stored numbers stay below LIMIT for max_steps more advances of
-    each pointer of st: an advance adds one to the offset and at most the base's
+def fits(base: DegreeSeq, states: tuple[DegreeSeq, ...], max_steps: int) -> bool:
+    """Whether stored numbers stay below LIMIT for max_steps more advances of each
+    of states over base: an advance adds one to the offset and at most the base's
     units to the units, and a merged degree is at most base top + t + units + 1."""
-    grow = st.base.flat[0] + max_steps * (1 + len(st.base))
-    return all(s.flat[0] + s.t + len(s) + grow < LIMIT for s in (st.slow, st.fast, st.base))
+    grow = base.flat[0] + max_steps * (1 + len(base))
+    return all(s.flat[0] + s.t + len(s) + grow < LIMIT for s in (base, *states))
 
 
 class CStepper(cycles.Stepper):

@@ -13,7 +13,7 @@ import pytest
 
 import bluebird
 from bluebird import bterm as bt
-from bluebird import cli, cycle_detect, restricted, walk
+from bluebird import cli, cycle_detect, cycles, restricted, walk
 from bluebird.antirho import example_antirho_term
 from bluebird.cli import main
 from bluebird.canonical import apply_poly
@@ -105,16 +105,98 @@ class TestRho:
         assert code == 4
         assert "cannot read checkpoint" in err
 
-    def test_checkpoint_requires_canonical_engine(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["rho", "--engine", "lambda", "--checkpoint", "/tmp/x", "B"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("engine,want", [
+        ("canonical", "(32, 20)"), ("restricted", "(274, 36)"), ("lambda", "(32, 20)")])
+    def test_every_engine_stops_saves_and_resumes(self, capsys, tmp_path, engine, want):
+        path = str(tmp_path / "ck")
+        code, out, err = run(capsys, "rho", "--engine", engine, "--checkpoint", path,
+                             "--max-steps", "100", "B^1 B")
+        assert (code, out, err) == (3, "", "error: no cycle found within 100 steps\n")
+        assert f"engine: {engine}\n" in open(path).read()
+        code, out, err = run(capsys, "rho", "--engine", engine, "--checkpoint", path,
+                             "--resume", "B^1 B")
+        assert (code, out, err) == (0, f"rho = {want}\n", "")
+        assert not os.path.exists(path)
 
-    @pytest.mark.parametrize("engine", ["lambda", "restricted"])
-    def test_progress_requires_canonical_engine(self, capsys, engine):
-        with pytest.raises(SystemExit) as exc:
-            main(["rho", "--engine", engine, "--progress", "B"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("engine,want", [
+        ("canonical", "(258, 36)"), ("restricted", "(274, 36)"), ("lambda", "(32, 20)")])
+    def test_every_engine_saves_on_ctrl_c(self, capsys, monkeypatch, tmp_path, engine, want):
+        # Ctrl-C after the fifth chunk of one advance each
+        real, ticks = cycles.search, [0]
+
+        def search(st, stepper, max_steps, tick, chunk):
+            def interrupting(st):
+                tick(st)
+                ticks[0] += 1
+                if ticks[0] == 5:
+                    raise KeyboardInterrupt
+            return real(st, stepper, max_steps, interrupting, chunk)
+
+        monkeypatch.setattr(cycles, "search", search)
+        text = "B^2 B" if engine == "canonical" else "B^1 B"
+        path = str(tmp_path / "ck")
+        code, out, err = run(capsys, "rho", "--engine", engine, "--checkpoint", path,
+                             "--checkpoint-interval", "1", text)
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+        monkeypatch.undo()
+        code, out, err = run(capsys, "rho", "--engine", engine, "--checkpoint", path,
+                             "--resume", text)
+        assert (code, out, err) == (0, f"rho = {want}\n", "")
+
+    @pytest.mark.parametrize("engine,units", [("restricted", "constants"), ("lambda", "nodes")])
+    def test_every_engine_reports_progress(self, capsys, monkeypatch, engine, units):
+        # a clock that moves 2 s per reading, so every chunk is reported;
+        # seq-units counts restricted constants and lambda prefix nodes
+        clock = [0.0]
+
+        def tick():
+            clock[0] += 2.0
+            return clock[0]
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=tick))
+        code, out, err = run(capsys, "rho", "--engine", engine, "--progress",
+                             "--checkpoint-interval", "1", "--max-steps", "40", "B^1 B")
+        assert (code, out) == (3, "")
+        reports = err.splitlines()[:-1]
+        assert len(reports) > 10
+        for line in reports:
+            m = re.fullmatch(r"progress: phase=1 step=\d+ advances=\d+ seq-units=(\d+) "
+                             r"stepper=(c|py)", line)
+            assert m and int(m[1]) > 1
+
+    def test_resume_refuses_another_engine_or_term(self, capsys, tmp_path):
+        path = str(tmp_path / "ck")
+        assert run(capsys, "rho", "--engine", "restricted", "--checkpoint", path,
+                   "--max-steps", "50", "B^1 B")[0] == 3
+        for argv, reason in (
+                (["--engine", "lambda", "B^1 B"], "is for engine 'restricted', not 'lambda'"),
+                (["--engine", "restricted", "B^2 B"], "which does not match 'B^2 B'")):
+            code, out, err = run(capsys, "rho", "--checkpoint", path, "--resume", *argv)
+            assert (code, out) == (4, "")
+            assert reason in err
+        code, out, _ = run(capsys, "rho", "--engine", "restricted", "--checkpoint", path,
+                           "--resume", "B^1 (B)")  # another spelling of the same term
+        assert (code, out) == (0, "rho = (274, 36)\n")
+
+    def test_restricted_budget_follows_max_steps(self, capsys, monkeypatch):
+        # B^4 B needs more than the library's 10^7 contractions; the CLI's
+        # budget is c(base) = 2 per advance plus 2 for each of the three
+        # walks from the base instead
+        engines, real = [], restricted.RestrictedEngine
+
+        class Recorded(real):
+            def __init__(self, max_steps):
+                engines.append(self)
+                super().__init__(max_steps)
+
+        monkeypatch.setattr(restricted, "RestrictedEngine", Recorded)
+        code, out, err = run(capsys, "rho", "--engine", "restricted", "--max-steps", "10",
+                             "B^4 B")
+        assert (code, out, err) == (3, "", "error: no cycle found within 10 steps\n")
+        assert engines[-1].max_steps == 10 * 2 + 3 * 2
+        code, out, _ = run(capsys, "rho", "--engine", "restricted", "B^1 B")
+        assert (code, out) == (0, "rho = (274, 36)\n")
+        assert engines[-1].max_steps == cycles.MAX_STEPS * 2 + 3 * 2
 
     def test_progress_reports_to_stderr(self, capsys, monkeypatch):
         # the reporter's clock reads 2 ms per advance made: a report comes

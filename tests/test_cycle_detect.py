@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bluebird import bterm as bt
-from bluebird import cycle_detect, lambda_oracle, walk
+from bluebird import cycle_detect, cycles, lambda_oracle, restricted, walk
 from bluebird.canonical import DegreeSeq, apply_poly, canonicalize, seq_to_bterm
 from bluebird.cycle_detect import (
     RhoResult,
@@ -18,7 +18,12 @@ from bluebird.cycle_detect import (
     load_checkpoint,
     save_checkpoint,
 )
-from bluebird.errors import CheckpointIO, CycleNotFound, FormatVersionMismatch
+from bluebird.errors import (
+    CheckpointIO,
+    CycleNotFound,
+    FormatVersionMismatch,
+    StepBudgetExceeded,
+)
 
 from .support import brute_rho, eager_orbit, floyd_canonical, stepper  # noqa: F401
 
@@ -304,99 +309,222 @@ class TestCheckpointFile:
 
 
 class TestKillResume:
+    """Kills, budget stops and interrupts, each resumed to the same answer:
+    canonical B^2 B here, and the other engines' small orbits in the
+    subclasses below. advances counts the advances of one whole search and
+    calls the calls of its Python advance (the calls advance_calls counts);
+    the budget sweep stops at every stride-th advance."""
+
+    text, want, advances, calls, double_kill = "B^2 B", (258, 36), 1097, 1097, (50, 200)
+    stride = 1
+
+    def rho(self, **kw):
+        return find_rho(self.text, **kw)
+
+    def advance_calls(self, monkeypatch, at=None):
+        """Counts the calls of the Python advance, and raises
+        KeyboardInterrupt in the at-th."""
+        calls = [0]
+
+        def counted(state, x):
+            calls[0] += 1
+            if calls[0] == at:
+                raise KeyboardInterrupt
+            return apply_poly(state, x)
+
+        monkeypatch.setattr(cycle_detect, "apply_poly", counted)
+        return calls
+
     @pytest.mark.parametrize("after", [1, 100, 400, 790])
     def test_kill_points_across_phases(self, tmp_path, after):
         path = str(tmp_path / "ck")
         with pytest.raises(Kill):
-            find_rho("B^2 B", checkpoint_path=path,
+            self.rho(checkpoint_path=path,
                      checkpoint_interval=1, checkpoint_seconds=0.0,
                      state_hook=killing_hook(after))
         assert os.path.exists(path)
-        r = find_rho("B^2 B", checkpoint_path=path, resume=True)
-        assert tuple(r) == (258, 36)
+        r = self.rho(checkpoint_path=path, resume=True)
+        assert tuple(r) == self.want
         assert not os.path.exists(path)
 
     def test_double_kill_then_finish(self, tmp_path):
         path = str(tmp_path / "ck")
+        first, second = self.double_kill
         with pytest.raises(Kill):
-            find_rho("B^2 B", checkpoint_path=path,
+            self.rho(checkpoint_path=path,
                      checkpoint_interval=1, checkpoint_seconds=0.0,
-                     state_hook=killing_hook(50))
+                     state_hook=killing_hook(first))
         with pytest.raises(Kill):
-            find_rho("B^2 B", checkpoint_path=path, resume=True,
+            self.rho(checkpoint_path=path, resume=True,
                      checkpoint_interval=1, checkpoint_seconds=0.0,
-                     state_hook=killing_hook(200))
-        r = find_rho("B^2 B", checkpoint_path=path, resume=True)
-        assert tuple(r) == (258, 36)
+                     state_hook=killing_hook(second))
+        r = self.rho(checkpoint_path=path, resume=True)
+        assert tuple(r) == self.want
 
     def test_budget_exhaustion_leaves_resumable_state(self, tmp_path):
         path = str(tmp_path / "ck")
         with pytest.raises(CycleNotFound):
-            find_rho("B^2 B", max_steps=100,
+            self.rho(max_steps=100,
                      checkpoint_path=path, checkpoint_seconds=0.0)
         assert os.path.exists(path)
-        r = find_rho("B^2 B", checkpoint_path=path, resume=True)
-        assert tuple(r) == (258, 36)
+        r = self.rho(checkpoint_path=path, resume=True)
+        assert tuple(r) == self.want
 
     def test_budget_stop_at_every_advance_resumes(self, stepper, tmp_path, monkeypatch):
         # B^2 B takes 1,097 advances, so the budgets stop the search in
         # both phases, at every anchor move and at the phase switch, and
-        # between the advances of one phase-2 iteration. On the Python
-        # stepper the counting step checks that every advance the searches
-        # report went through cycle_detect.apply_poly; the compiled walk makes
-        # them without it.
-        calls, states = [0], []
-
-        def counted(state, x):
-            calls[0] += 1
-            return apply_poly(state, x)
-
-        monkeypatch.setattr(cycle_detect, "apply_poly", counted)
+        # between the advances of one phase-2 iteration. Where each advance
+        # is one call, the Python stepper's counted calls check that every
+        # advance the searches report went through it; the compiled walk
+        # makes them without it.
+        calls, states = self.advance_calls(monkeypatch), []
         path = str(tmp_path / "ck")
-        for budget in range(2, 1101):
+        budgets = range(2, self.advances + 4, self.stride)
+        for budget in budgets:
             try:
-                r = find_rho("B^2 B", max_steps=budget,
+                r = self.rho(max_steps=budget,
                              checkpoint_path=path, on_start=states.append)
             except CycleNotFound:
-                r = find_rho("B^2 B", max_steps=2000, checkpoint_path=path, resume=True,
+                r = self.rho(max_steps=2 * self.advances, checkpoint_path=path, resume=True,
                              on_start=states.append)
-            assert (budget, tuple(r)) == (budget, (258, 36))
+            assert (budget, tuple(r)) == (budget, self.want)
         assert {st.stepper for st in states} == {stepper}
         # a resumed search redoes no advance, so each budget costs one search
-        assert sum(st.advances for st in states) == 1099 * 1097
-        if stepper == "py":
-            assert calls[0] == 1099 * 1097
+        assert sum(st.advances for st in states) == len(budgets) * self.advances
+        if stepper == "py" and self.calls == self.advances:
+            assert calls[0] == len(budgets) * self.advances
 
     def test_interrupt_at_every_advance_resumes(self, tmp_path, monkeypatch):
         # Ctrl-C lands inside some advance; the checkpoint it writes must
-        # resume to the same answer. Advance 1 is the fresh state, made
-        # before the search runs; past 1,097 a Brent search has finished.
-        monkeypatch.setattr(walk, "load", lambda: None)
+        # resume to the same answer. Call 1 makes the fresh state, before
+        # the search runs; past the last call a Brent search has finished.
+        monkeypatch.setattr(walk, "load", lambda *source: None)
         path = str(tmp_path / "ck")
         interrupts = 0
-        for n in range(2, 1101):
-            calls = [0]
-
-            def interrupted(state, x):
-                calls[0] += 1
-                if calls[0] == n:
-                    raise KeyboardInterrupt
-                return apply_poly(state, x)
-
-            monkeypatch.setattr(cycle_detect, "apply_poly", interrupted)
+        for n in range(2, self.calls + 4):
+            self.advance_calls(monkeypatch, n)
             try:
-                r = find_rho("B^2 B", checkpoint_path=path)
+                r = self.rho(checkpoint_path=path)
             except KeyboardInterrupt:
                 interrupts += 1
-                monkeypatch.setattr(cycle_detect, "apply_poly", apply_poly)
-                r = find_rho("B^2 B", checkpoint_path=path, resume=True)
-            assert (n, tuple(r)) == (n, (258, 36))
+                self.advance_calls(monkeypatch)
+                r = self.rho(checkpoint_path=path, resume=True)
+            assert (n, tuple(r)) == (n, self.want)
             assert not os.path.exists(path)
-        assert interrupts == 1096
+        assert interrupts == self.calls - 1
 
     def test_success_removes_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck")
-        r = find_rho("B^1 B", checkpoint_path=path, checkpoint_interval=1,
+        r = self.rho(checkpoint_path=path, checkpoint_interval=1,
                      checkpoint_seconds=0.0)
-        assert tuple(r) == (32, 20)
+        assert tuple(r) == self.want
         assert not os.path.exists(path)
+
+
+class TestKillResumeLambda(TestKillResume):
+    # B^1 B: 133 advances, 84 chunks of one, and e + c - 1 = 51 calls
+    text, want, advances, calls, double_kill = "B^1 B", (32, 20), 133, 51, (20, 40)
+    normal = staticmethod(lambda_oracle._normal)
+
+    def rho(self, **kw):
+        lo = lambda_oracle
+        return cycles.run(lo.engine(lo.bterm_to_lambda(bt.parse(self.text))), **kw)
+
+    def advance_calls(self, monkeypatch, at=None):
+        calls = [-1]  # call 0 normalizes the base, before the search
+
+        def counted(code, max_steps):
+            calls[0] += 1
+            if calls[0] == at:
+                raise KeyboardInterrupt
+            return self.normal(code, max_steps)
+
+        monkeypatch.setattr(lambda_oracle, "_normal", counted)
+        return calls
+
+    @pytest.fixture
+    def stepper(self):
+        return "py"
+
+    @pytest.mark.parametrize("after", [1, 20, 50, 70])
+    def test_kill_points_across_phases(self, tmp_path, after):
+        super().test_kill_points_across_phases(tmp_path, after)
+
+
+class TestKillResumeRestricted(TestKillResume):
+    # B^1 B, the degree-2 base: 1,129 advances. The chains below stop it
+    # at every contraction and every advance; the budget sweep, the same
+    # search core as the canonical one, at every fifth advance
+    text, want, advances, calls, double_kill = "B^1 B", (274, 36), 1129, None, (50, 200)
+    stride = 5
+
+    def rho(self, budget=restricted.MAX_CONTRACTIONS, **kw):
+        return cycles.run(restricted.engine(self.text, budget), **kw)
+
+    @pytest.fixture(params=["c", "py"])
+    def stepper(self, request, monkeypatch):
+        if request.param == "py":
+            monkeypatch.setattr(restricted, "fits", lambda eng: False)
+        elif walk.load(walk.RSOURCE) is None:
+            pytest.skip("no C compiler to build the compiled restricted walk")
+        return request.param
+
+    def stop_everywhere(self, monkeypatch, path, stop, exc, again):
+        """Stops the search at the n-th stop point of a run (stop(n) sets it
+        up) and resumes it from the checkpoint that writes, a chunk of one
+        advance at most behind, with n + 1 while runs leave the checkpoint
+        where it was and n = again once one has moved it on: so every stop
+        point of the search stops some run for again = 1, and every advance
+        for again = 2. Returns the answer and the number of stops."""
+        monkeypatch.setattr(os, "fsync", lambda fd: None)  # thousands of saves
+        n, last, stops = again, None, 0
+        while True:
+            stop(n)
+            try:
+                return self.rho(checkpoint_path=path, checkpoint_interval=1,
+                                checkpoint_seconds=3600.0, resume=last is not None), stops
+            except exc:
+                stops += 1
+                with open(path) as fh:
+                    text = fh.read()
+                n = n + 1 if text == last else again
+                last = text
+
+    @pytest.mark.parametrize("every", [1, 4])
+    def test_contraction_budget_stop_everywhere_resumes(self, stepper, tmp_path,
+                                                         monkeypatch, every):
+        # a budget of n - 1 stops a run in its n-th contraction, inside a
+        # walk call that may have compacted the tables: the ids the search
+        # holds then name other nodes, and the checkpoint holds the terms
+        # read back after the last chunk
+        monkeypatch.setattr(restricted, "COMPACT_EVERY", every)
+        budget = [0]
+        rho = self.rho
+        monkeypatch.setattr(self, "rho", lambda **kw: rho(budget[0], **kw))
+        r, stops = self.stop_everywhere(monkeypatch, str(tmp_path / "ck"),
+                                        lambda n: budget.__setitem__(0, n - 1),
+                                        StepBudgetExceeded, 1)
+        assert tuple(r) == self.want and stops > 520  # the contractions of one search
+
+    @pytest.mark.parametrize("every", [1, 4])
+    def test_interrupt_at_every_advance_resumes(self, stepper, tmp_path, monkeypatch, every):
+        # Ctrl-C inside a walk call, after the n-th advance of the run; the
+        # fresh run's first advance makes the state the search starts from
+        monkeypatch.setattr(restricted, "COMPACT_EVERY", every)
+        cls = restricted.CStepper if stepper == "c" else restricted.PyStepper
+        real, at, made = cls.walk, [0], [0]
+
+        def interrupted(self, a, b, k, both):
+            out = real(self, a, b, min(k, at[0] - made[0]), both)
+            made[0] += out[2]
+            if made[0] == at[0]:
+                raise KeyboardInterrupt
+            return out
+
+        def stop(n):
+            at[0], made[0] = n, 0
+
+        monkeypatch.setattr(cls, "walk", interrupted)
+        r, stops = self.stop_everywhere(monkeypatch, str(tmp_path / "ck"), stop,
+                                        KeyboardInterrupt, 2)
+        assert tuple(r) == self.want and stops > 820  # the chunks of one search

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hs
 
-from bluebird import cli, cycle_detect, lambda_oracle
+from bluebird import bterm as bt
+from bluebird import cli, cycle_detect, cycles, lambda_oracle, restricted
 from bluebird.cycle_detect import find_rho
 from bluebird.cycles import (
     MAX_STEPS,
@@ -112,3 +113,34 @@ def test_every_engine_returns_one_result_type():
         assert got == want
         assert (got.entry, got.cycle) == want
     assert cycle_detect.RhoResult is RhoResult
+
+
+ORBITS = {
+    "canonical": cycle_detect.engine,
+    "restricted": restricted.engine,
+    "lambda": lambda text: lambda_oracle.engine(lambda_oracle.bterm_to_lambda(bt.parse(text))),
+}
+
+
+@pytest.mark.parametrize("engine,text", [
+    ("canonical", "B"), ("canonical", "B^2 B"), ("restricted", "B"), ("restricted", "B (B B)"),
+    ("lambda", "B"), ("lambda", "B^1 B")])
+def test_states_round_trip_through_one_line(engine, text):
+    # every state a search passes, as state_hook gets it, is one printable
+    # line in a checkpoint and decodes back to itself; so is the term
+    states, build = [], ORBITS[engine]
+    cycles.run(build(text), checkpoint_interval=1,
+               state_hook=lambda st: states.extend((st.slow, st.fast)))
+    orbit = build(text)
+    lines = [orbit.encode(s) for s in states]
+    assert all(line.isprintable() for line in lines + [orbit.term])
+    assert (orbit.parse or orbit.decode)(orbit.term) == orbit.first
+    decoded = [orbit.decode(line) for line in lines]
+    stepper = orbit.stepper(None, 1)  # after decode, as on a resume
+    try:
+        assert [orbit.plain(s) for s in decoded] == states
+    finally:
+        stepper.close()
+    if (engine, text) == ("lambda", "B^1 B"):
+        # prefix strings hold chr(i + 2) for variable i, so index 8 is a newline
+        assert any("\n" in s for s in states) and all("\x00" in s for s in states)

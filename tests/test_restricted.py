@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import tempfile
 from functools import reduce
 from unittest import mock
 
@@ -272,6 +273,45 @@ def test_compiled_walk_matches_python(t, max_steps, budget, chunk, every):
         except CycleNotFound:
             got = CycleNotFound
         assert got == want[0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(hs.one_of(rterms, spines, hs.builds(monomial_rterm, hs.integers(0, 3))),
+       hs.integers(1, 400), hs.integers(1, 400), hs.sampled_from([1, 4, 64]),
+       hs.sampled_from(["c", "py"]))
+def test_derived_budget_bounds_every_search(t, stop, more, every, route):
+    # every contraction erases one constant and copies none, and each of
+    # Brent's three walks starts at the base or at a resumed state, so a run
+    # makes at most c(term) + (advances + 3) c(base) + c(slow) + c(fast)
+    # contractions, the last two for a resumed one; the budget the engine
+    # derives from max_steps never stops a run
+    if route == "c" and walk.load(walk.RSOURCE) is None:
+        pytest.skip("no C compiler to build the compiled restricted walk")
+    engines, runs, c = [], [], count_rconsts
+    base = c(rnormalize(t))
+
+    class Recorded(RestrictedEngine):
+        def __init__(self, max_steps):
+            engines.append(self)
+            super().__init__(max_steps)
+
+    fits = restricted.fits if route == "c" else (lambda eng: False)
+    with (mock.patch.object(restricted, "COMPACT_EVERY", every),
+          mock.patch.object(restricted, "fits", fits),
+          mock.patch.object(restricted, "RestrictedEngine", Recorded),
+          tempfile.TemporaryDirectory() as tmp):
+        path = os.path.join(tmp, "ck")
+        starts = 0
+        for max_steps, resume in ((stop, False), (more, True)):
+            try:
+                cycles.run(restricted.engine(t, None), max_steps, path, resume=resume,
+                           on_start=runs.append)
+                break
+            except CycleNotFound:
+                st = cycles.load(path, "restricted", parse_rterm, parse_rterm)
+                starts = c(st.slow) + c(st.fast)
+            finally:
+                assert engines[-1].steps <= c(t) + (runs[-1].advances + 3) * base + starts * resume
 
 
 def test_compaction_between_chunks(lib, monkeypatch):
