@@ -5,13 +5,14 @@
    application pair to the id of its normal form; app is
    RestrictedEngine.app with its pending list as an explicit stack of
    frames over a stack of argument ids. rr_new starts from a copy of the
-   Python engine's tables. The tables stay bounded: once every nodes have
-   been made since the last compaction, the next advance starts by keeping
-   only rr_new's nodes, the walk's x and y and what they reach, renumbered
-   in order, and by clearing the pair table in place down to rr_new's
-   entries and one per node; restricted.PyStepper does the same in Python,
-   so ids, contraction counts and node counts agree with it exactly. An id
-   other than x, y and rr_new's is valid only until the next rr_walk.
+   Python engine's nodes, with one pair per node. The tables stay bounded:
+   once every nodes have been made since the last compaction, the next
+   advance starts by keeping only rr_new's nodes, the walk's x and y and
+   what they reach, renumbered in order, and by clearing the pair table in
+   place down to one entry per node; restricted.PyStepper does the same in
+   Python, so ids, contraction counts and node counts agree with it
+   exactly. An id other than x, y and rr_new's is valid only until the
+   next rr_walk, and so is the node array rr_nodes returns.
    rr_walk sets made[0..3] to the advances made, the contractions, the
    nodes made in all and the nodes held, and returns 1 on equal states, 0
    after k advances, -1 past the contraction budget and -2 when memory or
@@ -41,8 +42,6 @@ typedef struct {
     frame *pend;
     int64_t npend, pend_cap;
     int64_t steps, max_steps, base;
-    int32_t *given;             /* the m entries rr_new was given, as triples */
-    int64_t given_n;
     int64_t keep, every, mark;  /* rr_new's n nodes, and when to compact */
     int64_t dropped;            /* nodes compaction has dropped */
     int32_t *to;                /* compaction's renumbering */
@@ -170,22 +169,22 @@ static int64_t app(tables *t, int32_t fn, int32_t arg)
     }
 }
 
-/* put fn arg -> out into the table unless fn arg is there; it never grows
-   the table: rr_new sizes it for its entries, and compaction puts back a
-   subset of what the table held before */
-static void put(tables *t, int32_t fn, int32_t arg, int32_t out)
+/* clear the pair table in place, then map each node's pair to its id */
+static int index_nodes(tables *t)
 {
-    slot *s = find(t, fn, arg);
-    if (s->out < 0) {
-        *s = (slot){fn, arg, out};
-        t->used++;
+    memset(t->tab, 0xff, (size_t)t->cap * sizeof *t->tab);
+    t->used = 0;
+    for (int64_t i = 0; i < t->nodes; i++) {
+        int32_t fn = t->node[2 * i], arg = t->node[2 * i + 1];
+        if (add(t, find(t, fn, arg), fn, arg, (int32_t)i)) return NOMEM;
     }
+    return 0;
 }
 
 /* keep the nodes below keep, *x, *y and every node they reach, renumbered
-   in increasing order; the table then holds rr_new's entries and one per
-   node, and every other memo is gone. A node's children have smaller ids,
-   so one sweep down marks and one sweep up renumbers. */
+   in increasing order; the table then holds one entry per node, and every
+   other memo is gone. A node's children have smaller ids, so one sweep
+   down marks and one sweep up renumbers. */
 static int compact(tables *t, int64_t *x, int64_t *y)
 {
     int32_t *node = t->node, *to;
@@ -209,50 +208,43 @@ static int compact(tables *t, int64_t *x, int64_t *y)
     if (y) *y = to[*y];
     t->dropped += t->nodes - n;
     t->nodes = t->mark = n;
-    memset(t->tab, 0xff, (size_t)t->cap * sizeof *t->tab);
-    t->used = 0;
-    for (i = 0; i < 3 * t->given_n; i += 3) put(t, t->given[i], t->given[i + 1], t->given[i + 2]);
-    for (i = 0; i < n; i++) put(t, node[2 * i], node[2 * i + 1], (int32_t)i);
-    return 0;
+    return index_nodes(t);
 }
 
-/* node i's pair fn arg as fn * 2^32 + arg, for reading a term back */
-int64_t rr_node(const tables *t, int64_t i)
+/* the node array, node i at 2i and 2i + 1, for reading terms back */
+const int32_t *rr_nodes(const tables *t)
 {
-    return (int64_t)t->node[2 * i] * 4294967296 + t->node[2 * i + 1];
+    return t->node;
 }
 
 void rr_free(tables *t)
 {
     if (!t) return;
     if (t->tab) munmap(t->tab, (size_t)t->cap * sizeof *t->tab);
-    free(t->node); free(t->args); free(t->pend); free(t->given); free(t->to);
+    free(t->node); free(t->args); free(t->pend); free(t->to);
     free(t);
 }
 
-/* tables holding n nodes node[0..2n) and m entries pairs[3j] pairs[3j + 1]
-   -> pairs[3j + 2], with steps contractions made of max_steps, that compact
-   once every nodes have been made since the last compaction; NULL when
-   memory runs out */
-tables *rr_new(const int64_t *node, int64_t n, const int64_t *pairs, int64_t m,
-               int64_t base, int64_t steps, int64_t max_steps, int64_t every)
+/* tables holding the n nodes node[0..2n), with steps contractions made of
+   max_steps, that compact once every nodes have been made since the last
+   compaction; NULL when memory runs out */
+tables *rr_new(const int64_t *node, int64_t n, int64_t base, int64_t steps,
+               int64_t max_steps, int64_t every)
 {
     tables *t = calloc(1, sizeof *t);
-    int64_t cap = 1024, shift = 54;
     if (!t) return NULL;
-    while (4 * m > 3 * cap) { cap *= 2; shift--; }
-    if (new_table(t, cap, shift)
-        || reserve((void **)&t->node, &t->node_cap, 2 * n, sizeof *t->node)
-        || !(t->given = malloc((size_t)(3 * m + 1) * sizeof *t->given))) {
+    if (new_table(t, 1024, 54)
+        || reserve((void **)&t->node, &t->node_cap, 2 * n, sizeof *t->node)) {
         rr_free(t);
         return NULL;
     }
     for (int64_t i = 0; i < 2 * n; i++) t->node[i] = (int32_t)node[i];
-    for (int64_t j = 0; j < 3 * m; j++) t->given[j] = (int32_t)pairs[j];
-    t->given_n = m;
-    for (int64_t j = 0; j < 3 * m; j += 3) put(t, t->given[j], t->given[j + 1], t->given[j + 2]);
     t->nodes = t->keep = t->mark = n; t->every = every;
     t->steps = steps; t->max_steps = max_steps; t->base = base;
+    if (index_nodes(t)) {
+        rr_free(t);
+        return NULL;
+    }
     return t;
 }
 

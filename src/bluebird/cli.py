@@ -80,7 +80,7 @@ def _lambda_engine(text: str):
     return lo.engine(named if isinstance(named, lo.Abs) else lo.bterm_to_lambda(bt.parse(text)))
 
 
-_ENGINES = {  # each engine's orbit of a term; the restricted budget follows --max-steps
+_ENGINES = {  # each engine's orbit of a term; --max-steps alone bounds the restricted one
     "canonical": engine,
     "lambda": _lambda_engine,
     "restricted": lambda text: rr.engine(text, None),

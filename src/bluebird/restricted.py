@@ -18,15 +18,15 @@ tables live on the engine instance; use one engine per search when
 isolation matters.
 
 A search (engine, for cycles.run) walks its orbit in C when it can:
-CStepper runs _rwalk.c, the same app over a copy of the engine's tables
+CStepper runs _rwalk.c, the same app over a copy of the engine's nodes
 (walk.load builds it), and frees that copy when the search ends; else
-PyStepper runs it on the engine itself. Both bound the tables: once
-COMPACT_EVERY nodes have been made since the last compaction, the next
-advance starts by keeping only the nodes the stepper started with, the
-walk's pointers and what they reach, renumbered in order, and by dropping
-every memo but the pairs the stepper started with and one per node. So an
-id the walk hands back is valid only until the next walk call, unless it
-is one of that call's pointers or older than the stepper: a walk call
+PyStepper runs it on the engine itself. Both start with one pair per
+node, and both bound the tables: once COMPACT_EVERY nodes have been made
+since the last compaction, the next advance starts by keeping only the
+nodes the stepper started with, the walk's pointers and what they reach,
+renumbered in order, and by dropping every memo but one pair per node. So
+an id the walk hands back is valid only until the next walk call, unless
+it is one of that call's pointers or older than the stepper: a walk call
 that raises, and the phase-2 rebuild, leave the search's ids stale, so
 cycles.run saves the RTerms it reads back after each chunk, never ids.
 RestrictedEngine.app itself never compacts.
@@ -34,6 +34,7 @@ RestrictedEngine.app itself never compacts.
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from typing import Union
 
@@ -216,18 +217,23 @@ def fits(eng: RestrictedEngine) -> bool:
 
 class PyStepper(cycles.Stepper):
     """Stepper.walk over the orbit step eng.app(i, base) in Python, with
-    _rwalk.c's compaction step for step: the same trigger, renumbering and
-    surviving pairs, so that both agree on answers, contractions and nodes.
+    _rwalk.c's start and compaction step for step: the same trigger,
+    renumbering and one pair per node, so that both agree on answers,
+    contractions and nodes.
     counts holds the advances of the last call, the contractions, the nodes
     made in all and the nodes held."""
 
     def __init__(self, eng: RestrictedEngine, base: int) -> None:
         self.eng, self.base = eng, base
         self.keep = self.mark = len(eng._node)
-        self.given = dict(eng._apps)
         self.every, self.dropped = COMPACT_EVERY, 0
         self.counts = [0, eng.steps, self.keep, self.keep]
         self.extern = eng.extern
+        self._hold(eng._node)
+
+    def _hold(self, node):
+        """Make node the engine's nodes, with one pair per node as its memos."""
+        self.eng._node, self.eng._apps = node, dict(zip(node, range(len(node))))
 
     def walk(self, a, b, k, both):
         eng, base, n = self.eng, self.base, 0
@@ -265,15 +271,13 @@ class PyStepper(cycles.Stepper):
                 kept.append((to[fn], to[arg]) if fn >= 0 else (fn, arg))
         self.dropped += len(node) - len(kept)
         self.mark = len(kept)
-        self.eng._node = kept
-        self.eng._apps = apps = dict(self.given)
-        apps.update(zip(kept, range(len(kept))))
+        self._hold(kept)
         return to[a], None if b is None else to[b]
 
 
 class CStepper(cycles.Stepper):
     """PyStepper's walk, compaction included, run by _rwalk.c on a copy of
-    eng's tables that lives until close; eng.steps follows the copy's
+    eng's nodes that lives until close; eng.steps follows the copy's
     contractions, and counts holds the advances of the last call, the
     contractions, the nodes made in all and the nodes held."""
 
@@ -284,18 +288,12 @@ class CStepper(cycles.Stepper):
         from array import array
 
         int64 = ctypes.c_int64
-
-        def ints(values):
-            buf = array("q", values)
-            return (int64 * len(buf)).from_buffer(buf)
-
+        node = array("q", chain.from_iterable(eng._node))
         self.lib, self.eng = lib, eng
         self.x, self.y, self.counts = int64(), int64(), (int64 * 4)()
-        self.tables = lib.rr_new(
-            ints(chain.from_iterable(eng._node)), len(eng._node),
-            ints(chain.from_iterable((*key, i) for key, i in eng._apps.items())),
-            len(eng._apps), base, eng.steps, max(-1, min(eng.max_steps, 2**63 - 1)),
-            COMPACT_EVERY)
+        self.tables = lib.rr_new((int64 * len(node)).from_buffer(node), len(eng._node), base,
+                                 eng.steps, max(-1, min(eng.max_steps, 2**63 - 1)),
+                                 COMPACT_EVERY)
         if not self.tables:
             raise MemoryError("no memory for the restricted tables")
 
@@ -314,7 +312,8 @@ class CStepper(cycles.Stepper):
 
     def extern(self, i: int) -> RTerm:
         """The term that id i names, read back from the compiled tables."""
-        return _extern(lambda j: divmod(self.lib.rr_node(self.tables, j), 1 << 32), i)
+        node = self.lib.rr_nodes(self.tables)
+        return _extern(lambda j: (node[2 * j], node[2 * j + 1]), i)
 
     def close(self) -> None:
         """Free the tables; idempotent."""
@@ -326,20 +325,16 @@ def engine(x: RTerm | str, rewrite_budget: int | None = MAX_CONTRACTIONS) -> cyc
     """The orbit of x under the restricted rule, for cycles.run: ids of one
     RestrictedEngine, walked by CStepper when the tables fit its ints, else by
     PyStepper, and read back as RTerms. rewrite_budget bounds the contractions;
-    None derives it from max_steps: a contraction erases one constant and
-    copies none, so an advance costs at most c(base), and each of Brent's three
-    walks c(start) more, from the base or a resumed state."""
+    None sets no bound, as the advance budget bounds them already: a
+    contraction erases one constant and copies none, so n advances from a
+    start s cost at most c(s) + n * c(base) contractions (c counts constants)."""
     if isinstance(x, str):
         x = parse_rterm(x)
-    eng = RestrictedEngine(MAX_CONTRACTIONS if rewrite_budget is None else rewrite_budget)
+    eng = RestrictedEngine(math.inf if rewrite_budget is None else rewrite_budget)
     base = eng.intern(x)
     made: list[cycles.Stepper] = []
 
     def stepper(st, max_steps: int) -> cycles.Stepper:
-        if rewrite_budget is None:
-            c = lambda i: _constants(eng.extern(i))
-            starts = 3 * c(base) if st is None else 2 * c(base) + c(st.slow) + c(st.fast)
-            eng.max_steps = eng.steps + max_steps * c(base) + starts
         lib = walk.load(walk.RSOURCE)
         made.append(CStepper(lib, eng, base) if lib and fits(eng) else PyStepper(eng, base))
         return made[-1]

@@ -65,12 +65,12 @@ def load(source: str = SOURCE):
         lib.bb_fold.argtypes = [ctypes.c_char_p, int64, ptr, int64]
         lib.bb_fold.restype = ctypes.c_int
     else:
-        lib.rr_new.argtypes = [ptr, int64, ptr, int64, int64, int64, int64, int64]
+        lib.rr_new.argtypes = [ptr, int64, int64, int64, int64, int64]
         lib.rr_new.restype = tables
         lib.rr_walk.argtypes = [tables, ptr, ptr, ctypes.c_int, int64, ptr]
         lib.rr_walk.restype = ctypes.c_int
-        lib.rr_node.argtypes = [tables, int64]
-        lib.rr_node.restype = int64
+        lib.rr_nodes.argtypes = [tables]
+        lib.rr_nodes.restype = ctypes.POINTER(ctypes.c_int32)
         lib.rr_free.argtypes = [tables]
         lib.rr_free.restype = None
     return lib

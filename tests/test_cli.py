@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, engine selection."""
 
+import math
 import os
 import re
 import signal
@@ -179,9 +180,8 @@ class TestRho:
         assert (code, out) == (0, "rho = (274, 36)\n")
 
     def test_restricted_budget_follows_max_steps(self, capsys, monkeypatch):
-        # B^4 B needs more than the library's 10^7 contractions; the CLI's
-        # budget is c(base) = 2 per advance plus 2 for each of the three
-        # walks from the base instead
+        # B^4 B needs more than the library's 10^7 contractions; the CLI
+        # sets no contraction budget, as --max-steps bounds them already
         engines, real = [], restricted.RestrictedEngine
 
         class Recorded(real):
@@ -193,10 +193,10 @@ class TestRho:
         code, out, err = run(capsys, "rho", "--engine", "restricted", "--max-steps", "10",
                              "B^4 B")
         assert (code, out, err) == (3, "", "error: no cycle found within 10 steps\n")
-        assert engines[-1].max_steps == 10 * 2 + 3 * 2
+        assert engines[-1].max_steps == math.inf
         code, out, _ = run(capsys, "rho", "--engine", "restricted", "B^1 B")
         assert (code, out) == (0, "rho = (274, 36)\n")
-        assert engines[-1].max_steps == cycles.MAX_STEPS * 2 + 3 * 2
+        assert engines[-1].max_steps == math.inf
 
     def test_progress_reports_to_stderr(self, capsys, monkeypatch):
         # the reporter's clock reads 2 ms per advance made: a report comes

@@ -283,8 +283,8 @@ def test_derived_budget_bounds_every_search(t, stop, more, every, route):
     # every contraction erases one constant and copies none, and each of
     # Brent's three walks starts at the base or at a resumed state, so a run
     # makes at most c(term) + (advances + 3) c(base) + c(slow) + c(fast)
-    # contractions, the last two for a resumed one; the budget the engine
-    # derives from max_steps never stops a run
+    # contractions, the last two for a resumed one: max_steps bounds the
+    # search that engine(t, None) runs with no contraction budget
     if route == "c" and walk.load(walk.RSOURCE) is None:
         pytest.skip("no C compiler to build the compiled restricted walk")
     engines, runs, c = [], [], count_rconsts
@@ -340,6 +340,22 @@ def test_compaction_on_a_budget_stop(lib, monkeypatch):
     want = _search(monomial_rterm(3), 10**5, budget, "py")
     assert want[:2] == (StepBudgetExceeded, budget + 1) and at[-1] == budget
     assert _search(monomial_rterm(3), 10**5, budget, "c") == want
+
+
+@pytest.mark.parametrize("every", [7, 2**14])
+@pytest.mark.parametrize("text", ["B B B B", "B^2 B B B B B (B B)"])
+def test_steppers_start_from_one_pair_per_node(lib, monkeypatch, text, every):
+    # interning a base that is not normal memoizes its redexes too; a
+    # stepper drops those memos and starts from one pair per node, as after
+    # a compaction, and both steppers still agree on everything
+    eng = RestrictedEngine()
+    base = eng.intern(T(text))
+    assert len(eng._apps) > len(eng._node)
+    restricted.PyStepper(eng, base)
+    assert len(eng._apps) == len(eng._node)
+    monkeypatch.setattr(restricted, "COMPACT_EVERY", every)
+    got = [_search(T(text), 5000, MAX_CONTRACTIONS, route) for route in ("c", "py")]
+    assert got[0] == got[1]
 
 
 def _held_after_each_chunk(degree, advances, route, chunk):

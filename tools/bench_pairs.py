@@ -16,10 +16,13 @@ variable is inherited. The output holds how the children are started,
 and per workload and end-to-end metric the value of every pair, each
 side's median and quartiles, and how many pairs this checkout won (a
 lower value wins); a rerun replaces only the workloads it runs. After
-the workloads, each side runs the Tier-1 suite once in its own
-environment, and the output holds the suite's wall time, summary line and
-ten slowest tests. With --readme, the README cells that quote the
-benchmark are rewritten from this checkout's quartiles: the time of the
+the workloads, each side runs the Tier-1 suite twice in its own
+environment, in the order base, this checkout, this checkout, base, so
+that a drift in machine speed falls on both sides alike, and the output
+holds each run's wall time, summary line and ten slowest tests. With
+--readme, the README cells that quote the benchmark are rewritten from
+this checkout's quartiles, after checking that --out holds every
+workload they quote: the time of the
 `B^4 B` row of the timing table (orbit-b4 wall_s), the time and memory
 of the degree-4 row of the restricted table (orbit-r4 wall_s and
 peak_rss_mb), the time of the lambda engine's `B^3 B` row (lambda-b3
@@ -138,7 +141,10 @@ README_CELLS = (("| `B^4 B`", 3, "orbit-b4", "wall_s"),
                 ("| `decide`", 3, "decide", "wall_s"))
 
 
-def readme_cells(readme: Path, workloads: dict) -> None:
+def readme_cells(readme: Path, workloads: dict, out: Path) -> None:
+    for *_, workload, _ in README_CELLS:
+        if workload not in workloads:
+            raise SystemExit(f"{out}: no {workload} workload, which {readme} quotes")
     lines = readme.read_text().split("\n")
     for prefix, at, workload, metric in README_CELLS:
         m = workloads[workload]["metrics"][metric]
@@ -189,11 +195,15 @@ def main() -> int:
                                              "metrics": summarize(runs)}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
         if args.workload:
+            runs = {side: [] for side in caches}
+            for side in (args.base, ROOT, ROOT, args.base):
+                runs[side].append(tier1(side, caches[side]))
             report["tier1"] = {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:]),
-                               "base": tier1(args.base, base_cache), "new": tier1(ROOT, cache)}
+                               "order": "base, new, new, base",
+                               "base": runs[args.base], "new": runs[ROOT]}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     if args.readme:
-        readme_cells(args.readme, report["workloads"])
+        readme_cells(args.readme, report["workloads"], args.out)
     return 0
 
 
