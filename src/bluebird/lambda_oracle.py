@@ -10,7 +10,11 @@ form, then exhaustive eta. A step budget guards non-normalizing inputs.
 Inside, a term is one string in prefix order: _APP, then function and
 argument; _ABS, then body; Var(i) as chr(i + 2). Beta runs a machine on a
 tree parsed once from it, eta two linear passes; every walk is a loop with
-an explicit stack, so term depth costs no interpreter stack.
+an explicit stack, so term depth costs no interpreter stack. When cc is
+present, _lambda.c runs the same machine and passes in one call, built on
+the first normal form (walk.load); that library is the only one this
+module loads, and _py_normal stays as the route without it and the
+reference it is tested against.
 
 rho_lambda keeps each orbit state's successor for the length of one run,
 so it normalizes every distinct state once; that costs one string per
@@ -20,9 +24,10 @@ distinct state (about 140 MB for B^4 B).
 from __future__ import annotations
 
 import gc
+import sys
 
 from . import bterm as bt
-from . import cycles
+from . import cycles, walk
 from .errors import NotBFormShape, StepBudgetExceeded
 from .trees import LEAF, BinTree, Node
 
@@ -30,18 +35,20 @@ DEFAULT_BUDGET = 10**7
 
 _APP = "\x00"
 _ABS = "\x01"
+_UTF32 = f"utf-32-{sys.byteorder[0]}e"  # one native int32 per code
 
 
 class _Coded(bt._Frozen):
-    """Abs and App compare and hash by their prefix string."""
+    """Abs and App compare and hash by their prefix string, kept on the node
+    once computed; the slot is not in their __slots__, so no pickle holds it."""
 
-    __slots__ = ()
+    __slots__ = ("_code",)
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and _encode(self) == _encode(other)
+        return type(other) is type(self) and _coded(self) == _coded(other)
 
     def __hash__(self) -> int:
-        return hash(_encode(self))
+        return hash(_coded(self))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}<{format_lambda(self)}>"
@@ -80,6 +87,7 @@ class App(_Coded):
 
 _set_index, _set_body = Var.index.__set__, Abs.body.__set__
 _set_fn, _set_arg = App.fn.__set__, App.arg.__set__
+_set_code = _Coded._code.__set__
 
 LambdaTerm = Var | Abs | App
 
@@ -103,6 +111,15 @@ def _encode(t: LambdaTerm | bt.BTerm) -> str:
         else:
             out.append(chr(u.index + 2))
     return "".join(out)
+
+
+def _coded(t: Abs | App) -> str:
+    """_encode(t), computed once per node."""
+    try:
+        return t._code
+    except AttributeError:
+        _set_code(t, code := _encode(t))
+        return code
 
 
 def _decode(code: str, var=Var, app=App) -> LambdaTerm:
@@ -184,6 +201,28 @@ def _eta_reduce(code: str) -> str:
 
 
 def _normal(code: str, max_steps: int) -> str:
+    """Beta-eta normal form of a prefix string, or StepBudgetExceeded past
+    max_steps beta steps: by _lambda.c's ln_normal when walk.load builds it,
+    else by _py_normal, which also reruns every other failure there, so
+    that errors stay Python's. Codes cross as UTF-32, surrogates included."""
+    lib = walk.load(walk.LSOURCE)
+    if lib is not None:
+        import ctypes
+
+        out = ctypes.c_void_p()
+        n = lib.ln_normal(code.encode(_UTF32, "surrogatepass"), len(code),
+                          max(-1, min(max_steps, 1 << 62)), ctypes.byref(out))
+        if n >= 0:
+            try:
+                return ctypes.string_at(out, 4 * n).decode(_UTF32, "surrogatepass")
+            finally:
+                lib.ln_free(out)
+        if n == -1:
+            raise StepBudgetExceeded(max_steps)
+    return _py_normal(code, max_steps)
+
+
+def _py_normal(code: str, max_steps: int) -> str:
     """Beta by a strongly reducing Krivine machine (Cregut's KN), then eta.
 
     The tree parsed from code has Var(i) as i, Abs(b) as [b], App(f, a) as

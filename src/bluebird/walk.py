@@ -1,7 +1,8 @@
 """The compiled orbit walks: _walk.c's bb_walk behind CStepper.walk, the
 one call of a cycles.Stepper, over canonical.DegreeSeq states, and the
 library of _rwalk.c, which restricted.CStepper drives; _walk.c's bb_fold
-is canonical.canonicalize's fold.
+is canonical.canonicalize's fold, and _lambda.c's ln_normal is
+lambda_oracle._normal.
 
 load(source) compiles a C source with cc on first use, into
 $XDG_CACHE_HOME/bluebird (else ~/.cache/bluebird) under a name made of the
@@ -23,12 +24,13 @@ from .canonical import DegreeSeq, _seq
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
 RSOURCE = os.path.join(os.path.dirname(SOURCE), "_rwalk.c")
+LSOURCE = os.path.join(os.path.dirname(SOURCE), "_lambda.c")
 LIMIT = 1 << 62  # bound on every stored degree and multiplicity
 
 
 @functools.cache
 def load(source: str = SOURCE):
-    """The loaded library of source, SOURCE or RSOURCE, or None."""
+    """The loaded library of source, SOURCE, RSOURCE or LSOURCE, or None."""
     import ctypes
     import subprocess
 
@@ -64,6 +66,11 @@ def load(source: str = SOURCE):
         lib.bb_walk.restype = ctypes.c_int
         lib.bb_fold.argtypes = [ctypes.c_char_p, int64, ptr, int64]
         lib.bb_fold.restype = ctypes.c_int
+    elif source == LSOURCE:
+        lib.ln_normal.argtypes = [ctypes.c_char_p, int64, int64, ctypes.POINTER(ctypes.c_void_p)]
+        lib.ln_normal.restype = int64
+        lib.ln_free.argtypes = [ctypes.c_void_p]
+        lib.ln_free.restype = None
     else:
         lib.rr_new.argtypes = [ptr, int64, int64, int64, int64, int64]
         lib.rr_new.restype = tables

@@ -2,13 +2,16 @@
 
 import gc
 import os
+import pickle
+from dataclasses import FrozenInstanceError
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bluebird import bterm as bt
-from bluebird import cycles
+from bluebird import cycles, walk
 from bluebird import lambda_oracle as lo
 from bluebird.errors import CycleNotFound, StepBudgetExceeded
 from bluebird.lambda_oracle import Abs, App, Var
@@ -242,6 +245,21 @@ def test_tree_lambda_roundtrip_sampled(t):
     assert lo.lambda_to_tree(tree_to_lambda(t)) == t
 
 
+def test_coded_nodes_keep_their_code_out_of_pickles():
+    t = lo.bterm_to_lambda(bt.parse("B (B B)"))
+    assert (Abs.__slots__, App.__slots__) == (("body",), ("fn", "arg"))
+    assert not hasattr(t, "_code")
+    assert hash(t) == hash(lo.bterm_to_lambda(bt.parse("B (B B)")))
+    assert t._code == lo._encode(t)  # kept on the node it was computed for
+    assert not hasattr(t.fn, "_code")
+    with pytest.raises(FrozenInstanceError):
+        t._code = ""
+    assert t.__reduce__() == (App, (t.fn, t.arg))
+    back = pickle.loads(pickle.dumps(t))
+    assert not hasattr(back, "_code")
+    assert back == t
+
+
 def test_deep_terms():
     n = 10**5
     a, b = (lo.bterm_to_lambda(bt.monomial(n)) for _ in range(2))
@@ -314,7 +332,99 @@ def test_deep_monomial_through_the_lambda_route():
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
-                    reason="about 64 s and 174 MB; set RUN_SLOW=1 to enable")
+                    reason="about 6 s and 145 MB; set RUN_SLOW=1 to enable")
 def test_rho_lambda_pins_b4b():
     # a second full route for B^4 B, apart from the canonical and restricted engines
     assert lo.rho_lambda(lo.bterm_to_lambda(bt.parse("B^4 B"))) == (191206, 431453)
+
+
+def _outcomes(code, budget):
+    """_normal's answer on code, or the type of what it raised: compiled,
+    then by the Python machine alone."""
+    got = []
+    for load in (walk.load, lambda source: None):
+        with patch.object(walk, "load", load):
+            try:
+                got.append(lo._normal(code, budget))
+            except (StepBudgetExceeded, ValueError, IndexError) as e:
+                got.append(type(e))
+    return got
+
+
+def _same_at_the_edge(t, steps):
+    """Both machines give one string at budget steps, and both stop at steps - 1."""
+    code = lo._encode(t)
+    compiled, python = _outcomes(code, steps)
+    assert type(compiled) is str
+    assert compiled == python
+    if steps:
+        assert _outcomes(code, steps - 1) == [StepBudgetExceeded] * 2
+
+
+@pytest.fixture
+def lambda_lib():
+    lib = walk.load(walk.LSOURCE)
+    if lib is None:
+        pytest.skip("no C compiler to build the compiled machine")
+    return lib
+
+
+@settings(deadline=None, max_examples=300)
+@given(hs.one_of(closed_terms, open_terms))
+def test_compiled_machine_matches_python(case):
+    if walk.load(walk.LSOURCE) is None:
+        pytest.skip("no C compiler to build the compiled machine")
+    t, budget = case
+    try:
+        _, steps = reference_normalize(t, budget)
+    except StepBudgetExceeded:
+        assert _outcomes(lo._encode(t), budget) == [StepBudgetExceeded] * 2
+        return
+    _same_at_the_edge(t, steps)
+
+
+def _copied_environments(n: int):
+    """\\x1 ... xn. y (I x1) ... (I xn), y free: every contraction after the
+    first copies the environment of the n binders. Normal in n steps."""
+    t = Var(n)
+    for i in range(n):
+        t = App(t, App(lo.I, Var(n - 1 - i)))
+    for _ in range(n):
+        t = Abs(t)
+    return t
+
+
+def test_compiled_machine_matches_python_on_deep_and_wide_terms(lambda_lib):
+    deep = Var(0)
+    for _ in range(10**5):
+        deep = Abs(App(Var(0), deep))
+    eta = Var(10**4)
+    for i in range(10**4):
+        eta = App(eta, Var(10**4 - 1 - i))
+    for _ in range(10**4 + 1):
+        eta = Abs(eta)
+    assert reference_normalize(_copied_environments(5))[1] == 5
+    # K applied to a spine of free variables: every code from U+D7FF to
+    # U+E000 goes in, and each comes out one higher
+    wide = Var(0xD7FF - 2)
+    for code in range(0xD800, 0xE001):
+        wide = App(wide, Var(code - 2))
+    for t, steps in ((deep, 0), (_rotation(10**4)[0], 10**4), (eta, 0),
+                     (_copied_environments(2000), 2000), (App(lo.K, wide), 1)):
+        _same_at_the_edge(t, steps)
+
+
+def test_compiled_machine_hands_every_failure_to_python(lambda_lib):
+    # codes on both sides of the surrogates and of U+10FFFF, moved by a
+    # contraction (K x) and by eta (\\y. x y); past U+10FFFF chr raises
+    for code in (0xD7FF, 0xD800, 0xDFFF, 0xE000, 0x10FFFE, 0x10FFFF):
+        x = Var(code - 2)
+        for t, wide in ((App(lo.K, x), code == 0x10FFFF), (Abs(App(x, Var(0))), False),
+                        (App(lo.I, x), False)):
+            compiled, python = _outcomes(lo._encode(t), 10)
+            assert compiled == python
+            assert (compiled is ValueError) == wide
+    # not one term: Python's parse decides what happens
+    for code in ("", lo._APP, lo._ABS, "\x02\x03", lo._encode(lo.K) + "\x02"):
+        got = _outcomes(code, 10)
+        assert got[0] == got[1], repr(code)

@@ -111,18 +111,19 @@ def test_buffers_grow_on_a_growing_orbit(lib):
 
 
 def test_python_stepper_without_a_compiler(tmp_path):
-    # no cc on the PATH and an empty cache: both searches still run, in Python
+    # no cc on the PATH and an empty cache: every search still runs, in Python
     src = str(Path(bluebird.__file__).resolve().parents[1])
     env = dict(os.environ, PATH="", XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=src)
     code = ("from bluebird import find_rho, find_rho_restricted, monomial_rterm; "
             "from bluebird.cli import main; st = []; "
             "print(tuple(find_rho('B^3 B', on_start=st.append)), st[0].stepper); "
             "print(tuple(find_rho_restricted(monomial_rterm(3)))); "
-            "print(main(['canon', 'B (B B) B']), main(['eq', 'B B B B', 'B (B B)']))")
+            "print(main(['canon', 'B (B B) B']), main(['eq', 'B B B B', 'B (B B)'])); "
+            "main(['rho', '--engine', 'lambda', 'B B'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=300)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        0, "(4240, 5796) py\n(4267, 5796)\n[1,0]\ntrue\n0 0\n", "")
+        0, "(4240, 5796) py\n(4267, 5796)\n[1,0]\ntrue\n0 0\nrho = (32, 20)\n", "")
     assert not list(tmp_path.rglob("*.so"))
 
 
@@ -136,6 +137,23 @@ def test_import_loads_no_library():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False 0\n", "")
+
+
+def test_lambda_oracle_loads_its_own_library_alone():
+    # rho_lambda builds _lambda.c on its first normal form and asks for no
+    # engine's walk: the oracle shares no code with the engines it checks
+    if walk.load(walk.LSOURCE) is None:
+        pytest.skip("no C compiler to build the compiled machine")
+    src = str(Path(bluebird.__file__).resolve().parents[1])
+    code = ("from bluebird import lambda_oracle as lo, walk; "
+            "real, asked = walk.load, set(); "
+            "walk.load = lambda *a: asked.add(a) or real(*a); "
+            "print(tuple(lo.rho_lambda(lo.bterm_to_lambda(lo.bt.parse('B B')))), "
+            "asked == {(walk.LSOURCE,)}, real.cache_info().currsize, "
+            "real(walk.LSOURCE) is not None)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "(32, 20) True 1 True\n", "")
 
 
 def _folds(x):
@@ -197,10 +215,21 @@ def test_a_build_removes_stale_libraries(lib, tmp_path, monkeypatch):
 
 
 def test_walk_source_ships_with_the_package():
-    for name, entry in (("_walk.c", "int bb_walk("), ("_rwalk.c", "int rr_walk(")):
+    for name, entry in (("_walk.c", "int bb_walk("), ("_rwalk.c", "int rr_walk("),
+                        ("_lambda.c", "int64_t ln_normal(")):
         source = importlib.resources.files("bluebird").joinpath(name)
         assert source.is_file()
         assert entry in source.read_text()
+
+
+def test_every_c_source_is_package_data():
+    # an installed package without one of them would run that part in Python
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(bluebird.__file__).resolve().parent
+    with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+        data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["bluebird"]
+    sources = {p.name for p in package.glob("*.c")}
+    assert {"_walk.c", "_rwalk.c", "_lambda.c"} <= sources <= set(data)
 
 
 class Stop(Exception):

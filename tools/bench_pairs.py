@@ -10,8 +10,9 @@ pair to pair, so a drift in machine speed falls on both sides alike. Every
 run writes its bytecode under a fresh, empty PYTHONPYCACHEPREFIX, so
 neither side reads a leftover __pycache__ and both compile alike. Each
 side keeps one XDG_CACHE_HOME for the session, where one untimed search
-of each engine builds that side's compiled walks before the first pair:
-no timed run builds a library, or removes the other side's. Every other
+of each engine builds that side's compiled libraries (the canonical and
+restricted walks, and the lambda engine's normalizer) before the first
+pair: no timed run builds a library, or removes the other side's. Every other
 variable is inherited. The output holds how the children are started,
 and per workload and end-to-end metric the value of every pair, each
 side's median and quartiles, and how many pairs this checkout won (a
@@ -45,16 +46,18 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# the untimed build: a small search on each engine that has a compiled walk
+# the untimed build: a small search on each engine, each with its own library
 WARM_UP = ("import sys; sys.path.insert(0, 'src'); "
-           "from bluebird import find_rho, find_rho_restricted, monomial_rterm; "
-           "find_rho('B^2 B'); find_rho_restricted(monomial_rterm(2))")
+           "from bluebird import find_rho, find_rho_restricted, monomial_rterm, parse; "
+           "from bluebird.lambda_oracle import bterm_to_lambda, rho_lambda; "
+           "find_rho('B^2 B'); find_rho_restricted(monomial_rterm(2)); "
+           "rho_lambda(bterm_to_lambda(parse('B B')))")
 LAUNCH = {
     "python": sys.executable,
     "cwd": "the checkout",
     "overrides": {
         "XDG_CACHE_HOME": "one empty directory per side for the session, where an untimed "
-                          "search of each engine builds the compiled walks before the first pair",
+                          "search of each engine builds the compiled libraries before the first pair",
         "PYTHONPYCACHEPREFIX": "a fresh empty directory per run",
     },
     "inherited": "every other variable of the tool's environment",
