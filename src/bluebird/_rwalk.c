@@ -6,25 +6,25 @@
    RestrictedEngine.app with its pending list as an explicit stack of
    frames over a stack of argument ids. rr_new starts from a copy of the
    Python engine's nodes, with one pair per node. The tables stay bounded:
-   once every nodes have been made since the last compaction, the next
-   advance starts by keeping only rr_new's nodes, the walk's x and y and
-   what they reach, renumbered in order, and by clearing the pair table in
-   place down to one entry per node; restricted.PyStepper does the same in
-   Python, so ids, contraction counts and node counts agree with it
-   exactly. An id other than x, y and rr_new's is valid only until the
-   next rr_walk, and so is the node array rr_nodes returns.
+   once the nodes made since the last compaction reach every, or the nodes
+   it kept above rr_new's if more, the next advance starts by keeping only
+   rr_new's nodes, the walk's x and y and what they reach, renumbered in
+   order, and by clearing the pair table in place down to one entry per
+   node; restricted.PyStepper does the same in Python, so ids, contraction
+   counts and node counts agree with it exactly. An id other than x, y and
+   rr_new's is valid only until the next rr_walk, and so is the node array
+   rr_nodes returns. A contraction erases one constant and copies none, so
+   rr_walk's k bounds its contractions: there is no contraction budget.
    rr_walk sets made[0..3] to the advances made, the contractions, the
    nodes made in all and the nodes held, and returns 1 on equal states, 0
-   after k advances, -1 past the contraction budget and -2 when memory or
-   the 32-bit ids run out. */
+   after k advances and NOMEM when memory or the 32-bit ids run out. */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/mman.h>
 
-#define BUDGET (-1)
-#define NOMEM (-2)
+#define NOMEM (-1)
 
 typedef struct { int32_t fn, arg, out; } slot;  /* out < 0: empty */
 
@@ -41,7 +41,7 @@ typedef struct {
     int64_t nargs, args_cap;
     frame *pend;
     int64_t npend, pend_cap;
-    int64_t steps, max_steps, base;
+    int64_t steps, base;
     int64_t keep, every, mark;  /* rr_new's n nodes, and when to compact */
     int64_t dropped;            /* nodes compaction has dropped */
     int32_t *to;                /* compaction's renumbering */
@@ -106,7 +106,7 @@ static int push(tables *t, int32_t a)
     return 0;
 }
 
-/* the id of the normal form of fn arg, or BUDGET or NOMEM */
+/* the id of the normal form of fn arg, or NOMEM */
 static int64_t app(tables *t, int32_t fn, int32_t arg)
 {
     int64_t out;
@@ -137,7 +137,7 @@ static int64_t app(tables *t, int32_t fn, int32_t arg)
                 if (add(t, s, fn, arg, (int32_t)out)) return NOMEM;
             } else {
                 int32_t *lo = t->args + at, *hi = lo + n - 1, x;
-                if (++t->steps > t->max_steps) return BUDGET;
+                t->steps++;
                 for (; lo < hi; lo++, hi--) { x = *lo; *lo = *hi; *hi = x; }
                 if (reserve((void **)&t->pend, &t->pend_cap, t->npend + 1, sizeof *t->pend))
                     return NOMEM;
@@ -225,11 +225,9 @@ void rr_free(tables *t)
     free(t);
 }
 
-/* tables holding the n nodes node[0..2n), with steps contractions made of
-   max_steps, that compact once every nodes have been made since the last
-   compaction; NULL when memory runs out */
-tables *rr_new(const int64_t *node, int64_t n, int64_t base, int64_t steps,
-               int64_t max_steps, int64_t every)
+/* tables holding the n nodes node[0..2n), with steps contractions made,
+   that compact as above; NULL when memory runs out */
+tables *rr_new(const int64_t *node, int64_t n, int64_t base, int64_t steps, int64_t every)
 {
     tables *t = calloc(1, sizeof *t);
     if (!t) return NULL;
@@ -240,7 +238,7 @@ tables *rr_new(const int64_t *node, int64_t n, int64_t base, int64_t steps,
     }
     for (int64_t i = 0; i < 2 * n; i++) t->node[i] = (int32_t)node[i];
     t->nodes = t->keep = t->mark = n; t->every = every;
-    t->steps = steps; t->max_steps = max_steps; t->base = base;
+    t->steps = steps; t->base = base;
     if (index_nodes(t)) {
         rr_free(t);
         return NULL;
@@ -250,14 +248,15 @@ tables *rr_new(const int64_t *node, int64_t n, int64_t base, int64_t steps,
 
 /* cycles.Stepper.walk: advance x, and y too when both is set, up to k
    times by one application to the base, stopping at the first x equal to
-   y (never when y is NULL); each advance starts with a compaction once
-   every nodes have been made since the last one */
+   y (never when y is NULL); each advance starts with a compaction when
+   one is due */
 int rr_walk(tables *t, int64_t *x, int64_t *y, int both, int64_t k, int64_t *made)
 {
     int64_t i = 0, a = 0;
     int hit = 0;
     for (; i < k && !hit; i++) {
-        if (t->nodes - t->mark >= t->every && (a = compact(t, x, y)) < 0) break;
+        int64_t gap = t->mark - t->keep > t->every ? t->mark - t->keep : t->every;
+        if (t->nodes - t->mark >= gap && (a = compact(t, x, y)) < 0) break;
         if ((a = app(t, (int32_t)*x, (int32_t)t->base)) < 0) break;
         *x = a;
         if (both) {

@@ -80,10 +80,10 @@ def _lambda_engine(text: str):
     return lo.engine(named if isinstance(named, lo.Abs) else lo.bterm_to_lambda(bt.parse(text)))
 
 
-_ENGINES = {  # each engine's orbit of a term; --max-steps alone bounds the restricted one
+_ENGINES = {  # each engine's orbit of a term
     "canonical": engine,
     "lambda": _lambda_engine,
-    "restricted": lambda text: rr.engine(text, None),
+    "restricted": rr.engine,
 }
 
 

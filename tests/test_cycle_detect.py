@@ -18,12 +18,7 @@ from bluebird.cycle_detect import (
     load_checkpoint,
     save_checkpoint,
 )
-from bluebird.errors import (
-    CheckpointIO,
-    CycleNotFound,
-    FormatVersionMismatch,
-    StepBudgetExceeded,
-)
+from bluebird.errors import CheckpointIO, CycleNotFound, FormatVersionMismatch
 
 from .support import brute_rho, eager_orbit, floyd_canonical, stepper  # noqa: F401
 
@@ -452,14 +447,14 @@ class TestKillResumeLambda(TestKillResume):
 
 
 class TestKillResumeRestricted(TestKillResume):
-    # B^1 B, the degree-2 base: 1,129 advances. The chains below stop it
-    # at every contraction and every advance; the budget sweep, the same
-    # search core as the canonical one, at every fifth advance
+    # B^1 B, the degree-2 base: 1,129 advances. The chain below stops it
+    # at every advance; the budget sweep, the same search core as the
+    # canonical one, at every fifth advance
     text, want, advances, calls, double_kill = "B^1 B", (274, 36), 1129, None, (50, 200)
     stride = 5
 
-    def rho(self, budget=restricted.MAX_CONTRACTIONS, **kw):
-        return cycles.run(restricted.engine(self.text, budget), **kw)
+    def rho(self, **kw):
+        return cycles.run(restricted.engine(self.text), **kw)
 
     @pytest.fixture(params=["c", "py"])
     def stepper(self, request, monkeypatch):
@@ -469,47 +464,32 @@ class TestKillResumeRestricted(TestKillResume):
             pytest.skip("no C compiler to build the compiled restricted walk")
         return request.param
 
-    def stop_everywhere(self, monkeypatch, path, stop, exc, again):
-        """Stops the search at the n-th stop point of a run (stop(n) sets it
-        up) and resumes it from the checkpoint that writes, a chunk of one
-        advance at most behind, with n + 1 while runs leave the checkpoint
-        where it was and n = again once one has moved it on: so every stop
-        point of the search stops some run for again = 1, and every advance
-        for again = 2. Returns the answer and the number of stops."""
+    def stop_everywhere(self, monkeypatch, path, stop):
+        """Interrupts the search after the n-th advance of a run (stop(n)
+        sets it up) and resumes it from the checkpoint that writes, a chunk
+        of one advance at most behind, with n + 1 while runs leave the
+        checkpoint where it was and n = 2 once one has moved it on: so every
+        advance stops some run. Returns the answer and the number of stops."""
         monkeypatch.setattr(os, "fsync", lambda fd: None)  # thousands of saves
-        n, last, stops = again, None, 0
+        n, last, stops = 2, None, 0
         while True:
             stop(n)
             try:
                 return self.rho(checkpoint_path=path, checkpoint_interval=1,
                                 checkpoint_seconds=3600.0, resume=last is not None), stops
-            except exc:
+            except KeyboardInterrupt:
                 stops += 1
                 with open(path) as fh:
                     text = fh.read()
-                n = n + 1 if text == last else again
+                n = n + 1 if text == last else 2
                 last = text
 
     @pytest.mark.parametrize("every", [1, 4])
-    def test_contraction_budget_stop_everywhere_resumes(self, stepper, tmp_path,
-                                                         monkeypatch, every):
-        # a budget of n - 1 stops a run in its n-th contraction, inside a
-        # walk call that may have compacted the tables: the ids the search
-        # holds then name other nodes, and the checkpoint holds the terms
-        # read back after the last chunk
-        monkeypatch.setattr(restricted, "COMPACT_EVERY", every)
-        budget = [0]
-        rho = self.rho
-        monkeypatch.setattr(self, "rho", lambda **kw: rho(budget[0], **kw))
-        r, stops = self.stop_everywhere(monkeypatch, str(tmp_path / "ck"),
-                                        lambda n: budget.__setitem__(0, n - 1),
-                                        StepBudgetExceeded, 1)
-        assert tuple(r) == self.want and stops > 520  # the contractions of one search
-
-    @pytest.mark.parametrize("every", [1, 4])
     def test_interrupt_at_every_advance_resumes(self, stepper, tmp_path, monkeypatch, every):
-        # Ctrl-C inside a walk call, after the n-th advance of the run; the
-        # fresh run's first advance makes the state the search starts from
+        # Ctrl-C inside a walk call, after the n-th advance of the run and
+        # maybe a compaction: the ids the search holds then name other nodes,
+        # and the checkpoint holds the terms read back after the last chunk;
+        # the fresh run's first advance makes the state the search starts from
         monkeypatch.setattr(restricted, "COMPACT_EVERY", every)
         cls = restricted.CStepper if stepper == "c" else restricted.PyStepper
         real, at, made = cls.walk, [0], [0]
@@ -525,6 +505,5 @@ class TestKillResumeRestricted(TestKillResume):
             at[0], made[0] = n, 0
 
         monkeypatch.setattr(cls, "walk", interrupted)
-        r, stops = self.stop_everywhere(monkeypatch, str(tmp_path / "ck"), stop,
-                                        KeyboardInterrupt, 2)
+        r, stops = self.stop_everywhere(monkeypatch, str(tmp_path / "ck"), stop)
         assert tuple(r) == self.want and stops > 820  # the chunks of one search

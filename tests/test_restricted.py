@@ -1,6 +1,5 @@
 """The restricted rewriting variant: head constants of every arity."""
 
-import inspect
 import os
 import tempfile
 from functools import reduce
@@ -11,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bluebird import cycles, restricted, walk
-from bluebird.errors import CycleNotFound, ParseError, StepBudgetExceeded
+from bluebird.errors import CycleNotFound, ParseError
 from bluebird.restricted import (
-    MAX_CONTRACTIONS,
     RApp,
     RConst,
     RestrictedEngine,
@@ -121,24 +119,11 @@ def test_long_contraction_chain_at_the_default_recursion_limit():
     assert format_rterm(eng.extern(i)) == "B^1 (" * n + "B^9 B^2" + ")" * n
 
 
-def test_one_default_contraction_budget():
-    assert inspect.signature(RestrictedEngine).parameters["max_steps"].default == MAX_CONTRACTIONS
-    assert inspect.signature(rnormalize).parameters["max_steps"].default == MAX_CONTRACTIONS
-    budget = inspect.signature(find_rho_restricted).parameters["rewrite_budget"]
-    assert budget.default == MAX_CONTRACTIONS
-
-
 def test_engine_counts_contractions():
     eng = RestrictedEngine()
     red = T("B B B B")      # exactly one contraction
     eng.intern(red)
     assert eng.steps == 1
-
-
-def test_step_budget():
-    eng = RestrictedEngine(max_steps=0)
-    with pytest.raises(StepBudgetExceeded):
-        eng.intern(T("B B B B"))
 
 
 def test_iterate_restricted_prefix():
@@ -225,11 +210,11 @@ def route(request):
     return request.param
 
 
-def _search(t, max_steps, budget, route, chunk=1 << 20, tick=None):
+def _search(t, max_steps, route, chunk=1 << 20, tick=None):
     """find_rho_restricted's search of t on one stepper, "c" or "py": its
-    RhoResult or exception class, the contractions, the nodes made in all
-    and the nodes held at the end."""
-    eng = RestrictedEngine(budget)
+    RhoResult or CycleNotFound, the contractions, the nodes made in all and
+    the nodes held at the end."""
+    eng = RestrictedEngine()
     base = eng.intern(t)
     if route == "c":
         stepper = restricted.CStepper(walk.load(walk.RSOURCE), eng, base)
@@ -239,8 +224,8 @@ def _search(t, max_steps, budget, route, chunk=1 << 20, tick=None):
         st = cycles.start(base, lambda i: stepper.walk(i, None, 1, False)[0])
         got = cycles.search(st, stepper, max_steps, tick=tick and (lambda st: tick(stepper)),
                             chunk=chunk)
-    except (CycleNotFound, StepBudgetExceeded) as exc:
-        got = type(exc)
+    except CycleNotFound:
+        got = CycleNotFound
     finally:
         if route == "c":
             stepper.close()
@@ -249,30 +234,24 @@ def _search(t, max_steps, budget, route, chunk=1 << 20, tick=None):
 
 @settings(deadline=None, max_examples=150)
 @given(hs.one_of(rterms, spines, hs.builds(monomial_rterm, hs.integers(0, 3))),
-       hs.integers(1, 20000), hs.integers(0, 20000), hs.integers(1, 400),
+       hs.integers(1, 20000), hs.integers(1, 400),
        hs.sampled_from([1, 2, 7, 64, restricted.COMPACT_EVERY]))
-def test_compiled_walk_matches_python(t, max_steps, budget, chunk, every):
-    # the same answer or exception, contractions and nodes at every
-    # compaction interval, and the answer of a search whose tables only
-    # grow; the chunk only changes how the compiled side's work is cut up
+def test_compiled_walk_matches_python(t, max_steps, chunk, every):
+    # the same answer, contractions and nodes at every compaction interval,
+    # and the answer of a search whose tables only grow; the chunk only
+    # changes how the compiled side's work is cut up
     if walk.load(walk.RSOURCE) is None:
         pytest.skip("no C compiler to build the compiled restricted walk")
     with mock.patch.object(restricted, "COMPACT_EVERY", every):
-        try:
-            want = _search(t, max_steps, budget, "py")
-        except StepBudgetExceeded:  # already while interning the base
-            with pytest.raises(StepBudgetExceeded):
-                _search(t, max_steps, budget, "c")
-            return
-        assert _search(t, max_steps, budget, "c", chunk) == want
-    if want[0] is not StepBudgetExceeded:  # growing tables make fewer contractions
-        eng = RestrictedEngine(budget)
-        base = eng.intern(t)
-        try:
-            got = cycles.brent_rho(base, lambda i: eng.app(i, base), max_steps)
-        except CycleNotFound:
-            got = CycleNotFound
-        assert got == want[0]
+        want = _search(t, max_steps, "py")
+        assert _search(t, max_steps, "c", chunk) == want
+    eng = RestrictedEngine()
+    base = eng.intern(t)
+    try:
+        got = cycles.brent_rho(base, lambda i: eng.app(i, base), max_steps)
+    except CycleNotFound:
+        got = CycleNotFound
+    assert got == want[0]
 
 
 @settings(deadline=None, max_examples=60)
@@ -284,16 +263,16 @@ def test_derived_budget_bounds_every_search(t, stop, more, every, route):
     # Brent's three walks starts at the base or at a resumed state, so a run
     # makes at most c(term) + (advances + 3) c(base) + c(slow) + c(fast)
     # contractions, the last two for a resumed one: max_steps bounds the
-    # search that engine(t, None) runs with no contraction budget
+    # contractions of the search that engine(t) runs
     if route == "c" and walk.load(walk.RSOURCE) is None:
         pytest.skip("no C compiler to build the compiled restricted walk")
     engines, runs, c = [], [], count_rconsts
     base = c(rnormalize(t))
 
     class Recorded(RestrictedEngine):
-        def __init__(self, max_steps):
+        def __init__(self):
             engines.append(self)
-            super().__init__(max_steps)
+            super().__init__()
 
     fits = restricted.fits if route == "c" else (lambda eng: False)
     with (mock.patch.object(restricted, "COMPACT_EVERY", every),
@@ -304,7 +283,7 @@ def test_derived_budget_bounds_every_search(t, stop, more, every, route):
         starts = 0
         for max_steps, resume in ((stop, False), (more, True)):
             try:
-                cycles.run(restricted.engine(t, None), max_steps, path, resume=resume,
+                cycles.run(restricted.engine(t), max_steps, path, resume=resume,
                            on_start=runs.append)
                 break
             except CycleNotFound:
@@ -318,28 +297,27 @@ def test_compaction_between_chunks(lib, monkeypatch):
     # one advance per call: every compaction opens a call, with only the
     # ids the search passes back in
     monkeypatch.setattr(restricted, "COMPACT_EVERY", 64)
-    want = _search(monomial_rterm(3), 10**5, MAX_CONTRACTIONS, "c")
+    want = _search(monomial_rterm(3), 10**5, "c")
     assert want[0] == (4267, 5796) and want[2] > want[3]
-    assert _search(monomial_rterm(3), 10**5, MAX_CONTRACTIONS, "c", chunk=1) == want
-    assert _search(monomial_rterm(3), 10**5, MAX_CONTRACTIONS, "py", chunk=1) == want
+    assert _search(monomial_rterm(3), 10**5, "c", chunk=1) == want
+    assert _search(monomial_rterm(3), 10**5, "py", chunk=1) == want
 
 
-def test_compaction_on_a_budget_stop(lib, monkeypatch):
-    # a budget that runs out in the first contraction after a compaction
-    monkeypatch.setattr(restricted, "COMPACT_EVERY", 64)
-    at, compact = [], restricted.PyStepper._compact
+def test_compaction_cost_is_amortized(monkeypatch):
+    # the gap between compactions grows to the nodes the last one kept, so
+    # at an interval of 1 the degree-3 search compacts 3,813 times, not at
+    # nearly each of its advances; the compiled walk follows the same
+    # schedule, as test_compiled_walk_matches_python checks
+    monkeypatch.setattr(restricted, "COMPACT_EVERY", 1)
+    calls, compact = [], restricted.PyStepper._compact
 
-    def record(self, a, b):
-        at.append(self.eng.steps)
+    def counted(self, a, b):
+        calls.append(None)
         return compact(self, a, b)
 
-    monkeypatch.setattr(restricted.PyStepper, "_compact", record)
-    _search(monomial_rterm(3), 10**5, MAX_CONTRACTIONS, "py")
-    budget = at[len(at) // 2]
-    at.clear()
-    want = _search(monomial_rterm(3), 10**5, budget, "py")
-    assert want[:2] == (StepBudgetExceeded, budget + 1) and at[-1] == budget
-    assert _search(monomial_rterm(3), 10**5, budget, "c") == want
+    monkeypatch.setattr(restricted.PyStepper, "_compact", counted)
+    assert _search(monomial_rterm(3), 10**5, "py")[:2] == ((4267, 5796), 56439)
+    assert len(calls) == 3813
 
 
 @pytest.mark.parametrize("every", [7, 2**14])
@@ -354,7 +332,7 @@ def test_steppers_start_from_one_pair_per_node(lib, monkeypatch, text, every):
     restricted.PyStepper(eng, base)
     assert len(eng._apps) == len(eng._node)
     monkeypatch.setattr(restricted, "COMPACT_EVERY", every)
-    got = [_search(T(text), 5000, MAX_CONTRACTIONS, route) for route in ("c", "py")]
+    got = [_search(T(text), 5000, route) for route in ("c", "py")]
     assert got[0] == got[1]
 
 
@@ -365,7 +343,7 @@ def _held_after_each_chunk(degree, advances, route, chunk):
     read = (lambda s: s.counts[3]) if route == "c" else (lambda s: len(s.eng._node))
     eng = RestrictedEngine()
     eng.intern(monomial_rterm(degree))
-    got = _search(monomial_rterm(degree), advances, MAX_CONTRACTIONS, route, chunk,
+    got = _search(monomial_rterm(degree), advances, route, chunk,
                   tick=lambda s: held.append(read(s)))
     assert got[0] is CycleNotFound
     return len(eng._node), held
@@ -380,12 +358,6 @@ def test_search_tables_stay_bounded(lib, monkeypatch):
     assert len(held) > 100 and max(held) <= keep + 64 + 256
 
 
-def test_degree_three_budget_edge(route):
-    base = monomial_rterm(3)
-    assert _search(base, 10**5, 52905, route)[:2] == (StepBudgetExceeded, 52906)
-    assert _search(base, 10**5, 52906, route)[:2] == ((4267, 5796), 52906)
-
-
 @pytest.mark.parametrize("degree,want", [
     (0, ((9, 4), 8, 12)),
     (1, ((36, 20), 74, 80)),
@@ -397,7 +369,7 @@ def test_both_routes_pin_degrees_zero_to_four(route, degree, want):
     # degree 4 takes about 0.6 s compiled and 15 s in Python
     if route == "py" and degree == 4 and not os.environ.get("RUN_SLOW"):
         pytest.skip("about 15 s on the Python stepper; set RUN_SLOW=1 to enable")
-    assert _search(monomial_rterm(degree), cycles.MAX_STEPS, MAX_CONTRACTIONS, route)[:3] == want
+    assert _search(monomial_rterm(degree), cycles.MAX_STEPS, route)[:3] == want
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_SLOW"),
@@ -405,17 +377,34 @@ def test_both_routes_pin_degrees_zero_to_four(route, degree, want):
 def test_degree_five_checks_the_cycle_of_b5b(lib):
     # a second route to B^5 B's cycle length (234444571), in another
     # rewriting system: 3,075,113,667 advances and 6,133,257,743 contractions
-    assert find_rho_restricted(monomial_rterm(5), rewrite_budget=10**10) == (
+    assert find_rho_restricted(monomial_rterm(5)) == (
         766241352, 234444571)
 
 
 def test_every_search_frees_its_tables(lib, monkeypatch):
+    # a search that ends, one stopped by its budget and one a walk call
+    # raised in; rewrite_budget is accepted and bounds nothing
     closed = []
     close = restricted.CStepper.close
     monkeypatch.setattr(restricted.CStepper, "close", lambda self: closed.append(close(self)))
     assert find_rho_restricted(monomial_rterm(2)) == (274, 36)
-    with pytest.raises(StepBudgetExceeded):
-        find_rho_restricted(monomial_rterm(3), rewrite_budget=100)
+    assert find_rho_restricted(monomial_rterm(3), rewrite_budget=100) == (4267, 5796)
     with pytest.raises(CycleNotFound):
         find_rho_restricted(monomial_rterm(3), max_steps=100)
-    assert len(closed) == 3
+    monkeypatch.setattr(restricted.CStepper, "walk", mock.Mock(side_effect=KeyboardInterrupt))
+    with pytest.raises(KeyboardInterrupt):
+        find_rho_restricted(monomial_rterm(3))
+    assert len(closed) == 4
+
+
+def test_closed_stepper_raises(lib):
+    eng = RestrictedEngine()
+    base = eng.intern(monomial_rterm(2))
+    stepper = restricted.CStepper(lib, eng, base)
+    assert stepper.extern(base) == monomial_rterm(2)
+    stepper.close()
+    stepper.close()
+    with pytest.raises(ValueError, match="closed"):
+        stepper.walk(base, None, 1, False)
+    with pytest.raises(ValueError, match="closed"):
+        stepper.extern(base)
