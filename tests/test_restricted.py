@@ -126,6 +126,14 @@ def test_engine_counts_contractions():
     assert eng.steps == 1
 
 
+def test_step_budget():
+    # max_steps, advances, is the restricted search's one budget: B^1 B
+    # takes 1,129 of them, and one short stops it
+    with pytest.raises(CycleNotFound):
+        find_rho_restricted(monomial_rterm(2), max_steps=1128)
+    assert find_rho_restricted(monomial_rterm(2), max_steps=1129) == (274, 36)
+
+
 def test_iterate_restricted_prefix():
     # normal forms of X(1) .. X(4), the orbit find_rho_restricted walks
     eng = RestrictedEngine()
@@ -320,6 +328,42 @@ def test_compaction_cost_is_amortized(monkeypatch):
     assert len(calls) == 3813
 
 
+@pytest.mark.parametrize("every", [1, 2])
+def test_compiled_walk_follows_the_amortized_schedule(lib, monkeypatch, every):
+    # at the smallest intervals nearly every advance would compact but for
+    # the amortized gap: the compiled walk keeps the Python stepper's
+    # contractions, nodes made and nodes held on the whole degree-3 search
+    monkeypatch.setattr(restricted, "COMPACT_EVERY", every)
+    want = _search(monomial_rterm(3), 10**5, "py")
+    assert want[:2] == ((4267, 5796), 56439)
+    assert _search(monomial_rterm(3), 10**5, "c") == want
+
+
+def test_compaction_on_a_budget_stop(lib, monkeypatch):
+    # a max_steps that runs out in the walk call right after a compaction:
+    # in phase 1 each call of one advance follows the advances already
+    # made, the start's and one a tick
+    monkeypatch.setattr(restricted, "COMPACT_EVERY", 64)
+    at, ticks, compact = [], [], restricted.PyStepper._compact
+
+    def record(self, a, b):
+        at.append(len(ticks) + 1)  # the advances made before this call
+        return compact(self, a, b)
+
+    def search(max_steps, route):
+        ticks.clear()
+        return _search(monomial_rterm(3), max_steps, route, chunk=1,
+                       tick=lambda s: ticks.append(None))
+
+    monkeypatch.setattr(restricted.PyStepper, "_compact", record)
+    search(10**5, "py")
+    stop = at[len(at) // 4] + 1  # phase 1 ends at advance 13,988
+    at.clear()
+    want = search(stop, "py")
+    assert want[0] is CycleNotFound and at[-1] == stop - 1
+    assert search(stop, "c") == want
+
+
 @pytest.mark.parametrize("every", [7, 2**14])
 @pytest.mark.parametrize("text", ["B B B B", "B^2 B B B B B (B B)"])
 def test_steppers_start_from_one_pair_per_node(lib, monkeypatch, text, every):
@@ -356,6 +400,14 @@ def test_search_tables_stay_bounded(lib, monkeypatch):
     monkeypatch.setattr(restricted, "COMPACT_EVERY", 64)
     keep, held = _held_after_each_chunk(4, 2 * 10**4, "py", 64)
     assert len(held) > 100 and max(held) <= keep + 64 + 256
+
+
+def test_degree_three_budget_edge(route):
+    # degree 3 takes 28,315 advances and 52,906 contractions; a max_steps
+    # one advance short stops it after 52,898
+    base = monomial_rterm(3)
+    assert _search(base, 28314, route)[:2] == (CycleNotFound, 52898)
+    assert _search(base, 28315, route)[:2] == ((4267, 5796), 52906)
 
 
 @pytest.mark.parametrize("degree,want", [
