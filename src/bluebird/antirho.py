@@ -165,26 +165,23 @@ def _orbit(x: TermLike, steps: int) -> tuple[list[DegreeSeq], list[BinTree]]:
     return seqs, [tree_of(s) for s in seqs]
 
 
-def _monotone(seqs: list[DegreeSeq], trees: list[BinTree], steps: int,
-              window: int | None) -> list[CheckItem]:
+def _monotone(seqs: list[DegreeSeq], trees: list[BinTree], steps: int) -> list[CheckItem]:
     """Cycle-freedom evidence over X(1) .. X(steps): the leaf count never
     decreases, keeps increasing, and no canonical form repeats.
 
     "Keeps increasing" is a windowed heuristic: from each iterate a strict
-    increase must occur within `window` further iterates. Flat stretches
+    increase must occur within a window of further iterates. Flat stretches
     (the head swallowing arguments without growing) get longer as terms
-    grow, so no fixed window is sound for every family; by default the
-    window adapts to the current leaf count plus a base margin, which
-    stays comfortably above every stall observed across the test families.
+    grow, so no fixed window is sound for every family; the window adapts
+    to the current leaf count plus a base margin, which stays comfortably
+    above every stall observed across the test families.
     """
     leaves = [t.size for t in trees]
     margin = 2 * leaves[0] + 2
-    label = ("within a dynamic window (heuristic)" if window is None
-             else f"within any {window} iterates (heuristic window)")
 
     def stalls():
         for i, here in enumerate(leaves):
-            j = i + (here + margin if window is None else window)
+            j = i + here + margin
             if j >= len(leaves):
                 return
             if leaves[j] <= here:
@@ -201,7 +198,7 @@ def _monotone(seqs: list[DegreeSeq], trees: list[BinTree], steps: int,
         _check("leaf count never decreases",
                ((i, f"leaf count {a} -> {b}")
                 for i, (a, b) in enumerate(pairwise(leaves), start=1) if b < a)),
-        _check(f"leaf count strictly increases {label}", stalls()),
+        _check("leaf count strictly increases within a dynamic window (heuristic)", stalls()),
         _check(f"no canonical form repeats in {steps} iterates", repeats()),
     ]
 
@@ -264,7 +261,7 @@ def run_power_suite(mp: MonomialPower, steps: int = 200) -> Report:
         _check("leaf-count recurrence holds", leaf_recurrence()),
         _check("head-arg recurrence holds", head_arg_recurrence()),
         _check("first-arg recurrence holds (substitution-free cases)", first_arg_recurrence()),
-        *_monotone(seqs, trees, steps, None),
+        *_monotone(seqs, trees, steps),
         _oracle_item(x, trees),
     ))
 
@@ -317,7 +314,6 @@ def run_term_suite(
     x: TermLike,
     steps: int = 100,
     membership: Callable[[BinTree], bool] | None = None,
-    window: int | None = None,
 ) -> Report:
     """Anti-cycle evidence for an arbitrary term: monotone growth plus,
     when a family predicate is supplied, the sampled form of the no-cycle
@@ -329,7 +325,7 @@ def run_term_suite(
     produce a repeat, so the membership and bound items sample, over
     X(1) .. X(steps), the two facts the argument rests on."""
     seqs, trees = _orbit(x, steps)
-    items = _monotone(seqs, trees, steps, window)
+    items = _monotone(seqs, trees, steps)
     if membership is not None:
         base_leaves = trees[0].size
         heads = (len(split_spine(t)[1]) for t in trees)

@@ -91,16 +91,6 @@ def is_leaf(e: BTerm) -> bool:
     return isinstance(e, _BLeaf)
 
 
-def spine(e: BTerm) -> tuple[BTerm, list[BTerm]]:
-    """Decompose e = head a1 ... an along the left edge. head is always B."""
-    args: list[BTerm] = []
-    while isinstance(e, App):
-        args.append(e.arg)
-        e = e.fn
-    args.reverse()
-    return e, args
-
-
 def flat(e: BTerm, k: int) -> BTerm:
     """k-fold flat self application: X^(1) = X, X^(j+1) = X^(j) X."""
     if k < 1:

@@ -8,9 +8,10 @@ so a non-increasing sequence of degrees [n1, ..., nk] is a complete invariant:
 two B-terms are beta-eta equivalent iff their sequences match. DegreeSeq,
 the one type of a canonical form, stores the sequence run-length encoded
 and flat with a lazy degree offset. canonicalize computes it by folding
-the term's applications through the one merge kernel: _apply_into here,
-mirrored as apply in _walk.c, whose bb_fold runs the fold when the
-compiled library loads (_fold is the route without it). apply_poly, the
+the term's post-order through the one merge kernel: _apply_into here,
+mirrored as apply in _walk.c. The post-order goes to _walk.c's bb_fold
+when the compiled library loads, else to _fold, its op-for-op twin, and
+both refuse codes that are not one term alike. apply_poly, the
 orbit search's step, runs the same kernel on two forms;
 canonical_via_lambda recomputes a form through the lambda oracle so the
 two routes can be cross-checked.
@@ -34,6 +35,7 @@ from .trees import LEAF, BinTree, Node, comb
 Runs = tuple[tuple[int, int], ...]
 
 _set = object.__setattr__  # DegreeSeq.__setattr__ refuses every assignment
+_NOT_ONE_TERM = "codes are not the post-order of one term"
 
 
 class DegreeSeq:
@@ -166,9 +168,6 @@ def raise_runs(runs: Runs, by: int = 1) -> Runs:
     return tuple((d + by, m) for d, m in runs)
 
 
-_B_FLAT = (0, 1)  # canonical(B) as flat runs, shared by every leaf argument
-
-
 def _apply_into(acc: list[int], runs: list[int] | tuple[int, ...], lift: int, t: int) -> None:
     """The one application kernel, on flat runs with a lazy degree offset.
 
@@ -217,45 +216,38 @@ def apply_poly(s1: DegreeSeq, s2: DegreeSeq) -> DegreeSeq:
     return _seq(tuple(flat), t + 1)
 
 
-def _fold(e: bt.BTerm) -> tuple[list[int], int]:
-    """Canonical form of e as flat runs and their offset, folded bottom-up
-    with an explicit stack: the spine B a1 ... an is B's [0, 1] applied to
-    a1, ..., an in turn. Each application raises a frame's offset by one,
-    so after i arguments it is i, and a finished argument frame's offset is
-    its argument count. canonicalize runs it when the compiled library
-    does not load; bb_fold gives the same runs at the same offset."""
-    acc, args, i = [0, 1], bt.spine(e)[1], 0
-    stack = []
-    while True:
-        if i < len(args):
-            a = args[i]
-            i += 1
-            if isinstance(a, bt.App):
-                stack.append((acc, args, i))
-                acc, args, i = [0, 1], bt.spine(a)[1], 0
-            else:
-                _apply_into(acc, _B_FLAT, i, i - 1)
-        elif stack:
-            value, vt = acc, i
-            acc, args, i = stack.pop()
-            _apply_into(acc, value, i - vt, i - 1)
+def _fold(codes: bytes) -> tuple[tuple[int, ...], int]:
+    """The flat runs and offset of the term whose post-order is codes, 0 for
+    B and any other code for an application: _walk.c's bb_fold op for op.
+    A 0 pushes B's [0, 1] at offset 0; an application merges the top state
+    into the one below and raises that one's offset by one. ValueError,
+    as walk.fold raises it, when the codes are not one term."""
+    accs: list[list[int]] = []
+    ts: list[int] = []
+    for c in codes:
+        if not c:
+            accs.append([0, 1])
+            ts.append(0)
+        elif len(accs) < 2:
+            raise ValueError(_NOT_ONE_TERM)
         else:
-            return acc, i
+            arg, u, t = accs.pop(), ts.pop(), ts[-1]
+            _apply_into(accs[-1], arg, t + 1 - u, t)
+            ts[-1] = t + 1
+    if len(accs) != 1:
+        raise ValueError(_NOT_ONE_TERM)
+    return tuple(accs[0]), ts[0]
 
 
 _walk = None  # the walk module, imported on the first canonicalize
 
 
 def canonicalize(e: bt.BTerm) -> DegreeSeq:
-    """Canonical degree sequence of a B-term, by folding its applications:
-    compiled, _walk.c's bb_fold runs the term's post-order, else _fold."""
+    """Canonical degree sequence of a B-term, by folding its post-order:
+    _walk.c's bb_fold when the compiled library loads, else _fold."""
     global _walk
     if _walk is None:
         from . import walk as _walk
-    lib = _walk.load()
-    if lib is None:
-        flat, t = _fold(e)
-        return _seq(tuple(flat), t)
     # the prefix order that visits an argument before its function is,
     # reversed, the post-order: 0 for B, 1 for an application
     codes, stack = bytearray(), [e]
@@ -267,7 +259,8 @@ def canonicalize(e: bt.BTerm) -> DegreeSeq:
             u = u.arg
         codes.append(0)
     codes.reverse()
-    return _seq(*_walk.fold(lib, bytes(codes)))
+    lib = _walk.load()
+    return _seq(*(_fold(codes) if lib is None else _walk.fold(lib, bytes(codes))))
 
 
 def equivalent_bterms(e1: bt.BTerm, e2: bt.BTerm) -> bool:

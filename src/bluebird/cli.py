@@ -132,9 +132,7 @@ def cmd_antirho(args) -> int:
             mp = _monomial_power(args, "--predicate tkn needs --k and --n")
             membership = lambda t: ar.in_iterate_family(t, mp)
         steps = args.steps if args.steps is not None else 100
-        report = ar.run_term_suite(
-            args.term, steps, membership=membership, window=args.window
-        )
+        report = ar.run_term_suite(args.term, steps, membership=membership)
     print(report.render())
     return 0 if report.passed else 1
 
@@ -191,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicate", choices=("tkn", "example2"),
                    help="family membership to enforce with --term")
     p.add_argument("--steps", type=int, help="orbit length to examine")
-    p.add_argument("--window", type=int,
-                   help="growth window for the monotone check")
     p.set_defaults(func=cmd_antirho)
 
     return parser
@@ -200,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # least accepted value of each numeric option; argparse cannot say this
 _MINIMA = {"max_steps": 1, "count": 1, "checkpoint_interval": 1,
-           "checkpoint_seconds": 0, "steps": 1, "window": 1}
+           "checkpoint_seconds": 0, "steps": 1}
 
 _EXIT_CODES = ((ParseError, 2), (_UsageError, 2), (CycleNotFound, 3),
                (StepBudgetExceeded, 3), (CheckpointIO, 4))  # anything else: 5

@@ -10,11 +10,11 @@ form, then exhaustive eta. A step budget guards non-normalizing inputs.
 Inside, a term is one string in prefix order: _APP, then function and
 argument; _ABS, then body; Var(i) as chr(i + 2). Beta runs a machine on a
 tree parsed once from it, eta two linear passes; every walk is a loop with
-an explicit stack, so term depth costs no interpreter stack. When cc is
-present, _lambda.c runs the same machine and passes in one call, built on
-the first normal form (walk.load); that library is the only one this
-module loads, and _py_normal stays as the route without it and the
-reference it is tested against.
+an explicit stack, so term depth costs no interpreter stack. _normal runs
+_lambda.c's ln_normal, the same machine and passes in one call, when
+walk.load builds it on the first normal form (the only library this
+module loads), else _py_normal, and never both: the two routes end alike,
+and _py_normal is the reference the compiled one is tested against.
 
 rho_lambda keeps each orbit state's successor for the length of one run,
 so it normalizes every distinct state once; that costs one string per
@@ -36,6 +36,8 @@ DEFAULT_BUDGET = 10**7
 _APP = "\x00"
 _ABS = "\x01"
 _UTF32 = f"utf-32-{sys.byteorder[0]}e"  # one native int32 per code
+_NOT_ONE_TERM = "not the prefix string of one lambda term"
+_WIDE = "a de Bruijn index of the normal form passes U+10FFFF"
 
 
 class _Coded(bt._Frozen):
@@ -201,25 +203,26 @@ def _eta_reduce(code: str) -> str:
 
 
 def _normal(code: str, max_steps: int) -> str:
-    """Beta-eta normal form of a prefix string, or StepBudgetExceeded past
-    max_steps beta steps: by _lambda.c's ln_normal when walk.load builds it,
-    else by _py_normal, which also reruns every other failure there, so
-    that errors stay Python's. Codes cross as UTF-32, surrogates included."""
+    """Beta-eta normal form of a prefix string, by _lambda.c's ln_normal when
+    walk.load builds it, else by _py_normal; both raise StepBudgetExceeded past
+    max_steps beta steps and ValueError when the codes are not one term or an
+    index passes U+10FFFF. Codes cross as UTF-32, surrogates included."""
     lib = walk.load(walk.LSOURCE)
-    if lib is not None:
-        import ctypes
+    if lib is None:
+        return _py_normal(code, max_steps)
+    import ctypes
 
-        out = ctypes.c_void_p()
-        n = lib.ln_normal(code.encode(_UTF32, "surrogatepass"), len(code),
-                          max(-1, min(max_steps, 1 << 62)), ctypes.byref(out))
-        if n >= 0:
-            try:
-                return ctypes.string_at(out, 4 * n).decode(_UTF32, "surrogatepass")
-            finally:
-                lib.ln_free(out)
-        if n == -1:
-            raise StepBudgetExceeded(max_steps)
-    return _py_normal(code, max_steps)
+    out = ctypes.c_void_p()
+    n = lib.ln_normal(code.encode(_UTF32, "surrogatepass"), len(code),
+                      max(-1, min(max_steps, 1 << 62)), ctypes.byref(out))
+    if n >= 0:
+        try:
+            return ctypes.string_at(out, 4 * n).decode(_UTF32, "surrogatepass")
+        finally:
+            lib.ln_free(out)
+    if n == -1:
+        raise StepBudgetExceeded(max_steps)
+    raise MemoryError() if n == -2 else ValueError(_NOT_ONE_TERM if n == -3 else _WIDE)
 
 
 def _py_normal(code: str, max_steps: int) -> str:
@@ -232,9 +235,13 @@ def _py_normal(code: str, max_steps: int) -> str:
     the head's arguments, then those left to normalize, the leftmost on top."""
     vals: list = []
     push, pop = vals.append, vals.pop
-    for c in reversed(code):
-        push((pop(), pop()) if c == _APP else [pop()] if c == _ABS else ord(c) - 2)
-    out, steps, todo = [], 0, [(vals[0], [], 0, 0)]
+    try:
+        for c in reversed(code):
+            push((pop(), pop()) if c == _APP else [pop()] if c == _ABS else ord(c) - 2)
+        (term,) = vals
+    except (IndexError, ValueError):
+        raise ValueError(_NOT_ONE_TERM) from None
+    out, steps, todo = [], 0, [(term, [], 0, 0)]
     while todo:
         t, env, n, level = todo.pop()
         base = len(todo)
@@ -259,7 +266,9 @@ def _py_normal(code: str, max_steps: int) -> str:
                 if type(c) is tuple:
                     t, env, n, _ = c
                     continue
-                out += (_APP * (len(todo) - base), chr(level + 1 - c))
+                if (c := level + 1 - c) > 0x10FFFF:
+                    raise ValueError(_WIDE)
+                out += (_APP * (len(todo) - base), chr(c))
                 break
     return _eta_reduce("".join(out))
 
@@ -346,7 +355,7 @@ def _line(code: str) -> str:
 def _unline(text: str) -> str:
     code = text.encode("ascii").decode("unicode_escape")
     if _encode(_decode(code)) != code:
-        raise ValueError("not the prefix string of one lambda term")
+        raise ValueError(_NOT_ONE_TERM)
     return code
 
 

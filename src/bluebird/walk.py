@@ -1,8 +1,11 @@
-"""The compiled orbit walks: _walk.c's bb_walk behind CStepper.walk, the
-one call of a cycles.Stepper, over canonical.DegreeSeq states, and the
-library of _rwalk.c, which restricted.CStepper drives; _walk.c's bb_fold
-is canonical.canonicalize's fold, and _lambda.c's ln_normal is
-lambda_oracle._normal.
+"""The compiled calls and their loader. Each compiled call has one Python
+twin that takes the same input and ends alike, with the same answer or
+exception: bb_walk (CStepper.walk) and cycles.Stepper over apply_poly,
+rr_walk (restricted.CStepper) and restricted.PyStepper, bb_fold (fold) and
+canonical._fold, ln_normal (lambda_oracle._normal) and _py_normal. The
+route is picked before the call (for a walk, when the search makes its
+stepper) by whether load returns the library and, for a walk, whether its
+numbers fit the C integers; a failed call is never rerun on the other one.
 
 load(source) compiles a C source with cc on first use, into
 $XDG_CACHE_HOME/bluebird (else ~/.cache/bluebird) under a name made of the
@@ -20,7 +23,7 @@ import os
 import zlib
 
 from . import cycles
-from .canonical import DegreeSeq, _seq
+from .canonical import _NOT_ONE_TERM, DegreeSeq, _seq
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_walk.c")
 RSOURCE = os.path.join(os.path.dirname(SOURCE), "_rwalk.c")
@@ -85,12 +88,13 @@ def load(source: str = SOURCE):
 
 def fold(lib, codes: bytes) -> tuple[tuple[int, ...], int]:
     """The flat runs and offset of the term whose post-order is codes, 0 for
-    B and 1 for an application, by lib's bb_fold: canonical._fold's result."""
+    B and any other code for an application, by lib's bb_fold; ValueError
+    when the codes are not one term. canonical._fold is its twin."""
     import ctypes
 
     out = (ctypes.c_int64 * (5 * len(codes) // 2 + 3))()  # bb_fold's 5 ints a leaf
     if lib.bb_fold(codes, len(codes), out, len(out)):
-        raise ValueError("codes are not the post-order of one term")
+        raise ValueError(_NOT_ONE_TERM)
     return tuple(out[2:out[0] + 2]), out[1]
 
 

@@ -1,8 +1,8 @@
-"""Syntax-level tests: parsing, formatting, spines, flat powers."""
+"""Syntax-level tests: parsing, formatting, flat powers."""
 
 import re
 import time
-from functools import partial, reduce
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +16,6 @@ from bluebird.bterm import (
     is_leaf,
     monomial,
     parse,
-    spine,
 )
 from bluebird.canonical import monomial_degree
 from bluebird.errors import ParseError
@@ -112,13 +111,6 @@ def test_parsers_match_the_reference(text):
             assert (str(got.value), got.value.position) == (str(exc), exc.position)
         else:
             assert ours(text) == want
-
-
-def test_spine_roundtrip():
-    for t in bterms_up_to(7):
-        head, args = spine(t)
-        assert is_leaf(head)
-        assert reduce(App, args, head) == t
 
 
 def test_flat_recurrence():

@@ -341,7 +341,6 @@ class TestAntirho:
         (["--k", "-1", "--n", "1"], "k must be >= 0"),
         (["--k", "1", "--n", "0"], "n must be >= 1"),
         (["--k", "1", "--n", "1", "--steps", "0"], "--steps must be >= 1"),
-        (["--term", "B", "--window", "0"], "--window must be >= 1"),
     ])
     def test_bad_values_exit_two(self, capsys, argv, message):
         code, out, err = run(capsys, "antirho", *argv)

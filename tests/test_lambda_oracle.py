@@ -339,16 +339,20 @@ def test_rho_lambda_pins_b4b():
 
 
 def _outcomes(code, budget):
-    """_normal's answer on code, or the type of what it raised: compiled,
-    then by the Python machine alone."""
+    """_normal's answer on code, or the type and message of what it raised:
+    compiled, then with no library, by the Python machine."""
     got = []
     for load in (walk.load, lambda source: None):
         with patch.object(walk, "load", load):
             try:
                 got.append(lo._normal(code, budget))
-            except (StepBudgetExceeded, ValueError, IndexError) as e:
-                got.append(type(e))
+            except (StepBudgetExceeded, ValueError) as e:
+                got.append((type(e), str(e)))
     return got
+
+
+def _stopped(budget):
+    return (StepBudgetExceeded, str(StepBudgetExceeded(budget)))
 
 
 def _same_at_the_edge(t, steps):
@@ -358,7 +362,7 @@ def _same_at_the_edge(t, steps):
     assert type(compiled) is str
     assert compiled == python
     if steps:
-        assert _outcomes(code, steps - 1) == [StepBudgetExceeded] * 2
+        assert _outcomes(code, steps - 1) == [_stopped(steps - 1)] * 2
 
 
 @pytest.fixture
@@ -378,9 +382,20 @@ def test_compiled_machine_matches_python(case):
     try:
         _, steps = reference_normalize(t, budget)
     except StepBudgetExceeded:
-        assert _outcomes(lo._encode(t), budget) == [StepBudgetExceeded] * 2
+        assert _outcomes(lo._encode(t), budget) == [_stopped(budget)] * 2
         return
     _same_at_the_edge(t, steps)
+
+
+@settings(deadline=None, max_examples=300)
+@given(hs.text(hs.characters(min_codepoint=0, max_codepoint=4), max_size=12))
+def test_both_machines_end_alike_on_any_codes(code):
+    # most short strings over the first five codes are not one term, and
+    # some have no normal form: each route must answer or refuse as the other
+    if walk.load(walk.LSOURCE) is None:
+        pytest.skip("no C compiler to build the compiled machine")
+    compiled, python = _outcomes(code, 100)
+    assert compiled == python
 
 
 def _copied_environments(n: int):
@@ -414,17 +429,16 @@ def test_compiled_machine_matches_python_on_deep_and_wide_terms(lambda_lib):
         _same_at_the_edge(t, steps)
 
 
-def test_compiled_machine_hands_every_failure_to_python(lambda_lib):
+def test_both_machines_end_alike_on_failures(lambda_lib):
     # codes on both sides of the surrogates and of U+10FFFF, moved by a
-    # contraction (K x) and by eta (\\y. x y); past U+10FFFF chr raises
+    # contraction (K x) and by eta (\\y. x y); past U+10FFFF both refuse
     for code in (0xD7FF, 0xD800, 0xDFFF, 0xE000, 0x10FFFE, 0x10FFFF):
         x = Var(code - 2)
         for t, wide in ((App(lo.K, x), code == 0x10FFFF), (Abs(App(x, Var(0))), False),
                         (App(lo.I, x), False)):
             compiled, python = _outcomes(lo._encode(t), 10)
             assert compiled == python
-            assert (compiled is ValueError) == wide
-    # not one term: Python's parse decides what happens
+            assert (compiled == (ValueError, lo._WIDE)) == wide
+    # not one term: both parses refuse it
     for code in ("", lo._APP, lo._ABS, "\x02\x03", lo._encode(lo.K) + "\x02"):
-        got = _outcomes(code, 10)
-        assert got[0] == got[1], repr(code)
+        assert _outcomes(code, 10) == [(ValueError, lo._NOT_ONE_TERM)] * 2, repr(code)

@@ -10,13 +10,13 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 import bluebird
 from bluebird import cycles, restricted, walk
 from bluebird.bterm import App, B, flat, monomial, parse
-from bluebird.canonical import apply_poly, canonicalize
+from bluebird.canonical import _fold, apply_poly, canonicalize
 from bluebird.cycle_detect import find_rho
 from bluebird.errors import CycleNotFound
 
@@ -171,6 +171,29 @@ def test_compiled_fold_matches_python(x):
         pytest.skip("no C compiler to build the compiled walk")
     got, want = _folds(x)
     assert got == want
+
+
+def _fold_outcome(fold, codes):
+    try:
+        return fold(codes)
+    except ValueError as e:
+        return ValueError, str(e)
+
+
+@settings(deadline=None, max_examples=300)
+@given(hs.lists(hs.integers(0, 2), max_size=40).map(bytes))
+@example(b"")
+@example(b"\x01")
+@example(b"\x00\x00")
+@example(b"\x00\x00\x01\x01")
+def test_both_folds_end_alike_on_any_codes(codes):
+    # most strings of codes are not one term's post-order: both folds must
+    # give the same runs and offset, or refuse with the same ValueError
+    lib = walk.load()
+    if lib is None:
+        pytest.skip("no C compiler to build the compiled walk")
+    compiled = _fold_outcome(lambda c: walk.fold(lib, c), codes)
+    assert compiled == _fold_outcome(_fold, codes)
 
 
 def _random_term(rng, leaves):
