@@ -248,19 +248,9 @@ def canonicalize(e: bt.BTerm) -> DegreeSeq:
     global _walk
     if _walk is None:
         from . import walk as _walk
-    # the prefix order that visits an argument before its function is,
-    # reversed, the post-order: 0 for B, 1 for an application
-    codes, stack = bytearray(), [e]
-    while stack:
-        u = stack.pop()
-        while type(u) is bt.App:
-            codes.append(1)
-            stack.append(u.fn)
-            u = u.arg
-        codes.append(0)
-    codes.reverse()
+    codes = bt._codes(e)  # kept on the root by parse, or by an earlier call
     lib = _walk.load()
-    return _seq(*(_fold(codes) if lib is None else _walk.fold(lib, bytes(codes))))
+    return _seq(*(_fold(codes) if lib is None else _walk.fold(lib, codes)))
 
 
 def equivalent_bterms(e1: bt.BTerm, e2: bt.BTerm) -> bool:

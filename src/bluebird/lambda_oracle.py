@@ -94,17 +94,15 @@ _set_code = _Coded._code.__set__
 LambdaTerm = Var | Abs | App
 
 
-def _encode(t: LambdaTerm | bt.BTerm) -> str:
-    """Prefix string of t; a B-term encodes as its image (leaves become B)."""
+def _encode(t: LambdaTerm) -> str:
+    """Prefix string of t."""
     out: list[str] = []
     stack = [t]
     while stack:
         u = stack.pop()
-        if isinstance(u, (App, bt.App)):
+        if isinstance(u, App):
             out.append(_APP)
             stack += (u.arg, u.fn)
-        elif u is bt.B:
-            out.append(_B)
         elif isinstance(u, Abs):
             out.append(_ABS)
             stack.append(u.body)
@@ -125,9 +123,10 @@ def _coded(t: Abs | App) -> str:
 
 
 def _decode(code: str, var=Var, app=App) -> LambdaTerm:
-    """The term of a prefix string. The nodes built are acyclic and all stay
-    alive, so the cyclic collector is paused while they are built: its passes
-    over them would cost more than the build."""
+    """The term of a prefix string; ValueError unless it is one term. The
+    nodes built are acyclic and all stay alive, so the cyclic collector is
+    paused while they are built: its passes over them would cost more than
+    the build."""
     vals: list = []
     push, pop = vals.append, vals.pop
     was_enabled = gc.isenabled()
@@ -135,10 +134,13 @@ def _decode(code: str, var=Var, app=App) -> LambdaTerm:
     try:
         for c in reversed(code):
             push(app(pop(), pop()) if c == _APP else Abs(pop()) if c == _ABS else var(ord(c) - 2))
+        (term,) = vals
+    except (IndexError, ValueError):
+        raise ValueError(_NOT_ONE_TERM) from None
     finally:
         if was_enabled:
             gc.enable()
-    return vals[0]
+    return term
 
 
 def _eta_reduce(code: str) -> str:
@@ -288,7 +290,6 @@ def equivalent(t1: LambdaTerm, t2: LambdaTerm, max_steps: int = DEFAULT_BUDGET) 
 
 # the B combinator: \f g x. f (g x)
 B = Abs(Abs(Abs(App(Var(2), App(Var(1), Var(0))))))
-_B = _encode(B)
 
 # standard combinators used by the cycle-search test battery
 C = Abs(Abs(Abs(App(App(Var(2), Var(0)), Var(1)))))          # \x y z. x z y
@@ -304,8 +305,9 @@ V = Abs(Abs(Abs(App(App(Var(0), Var(2)), Var(1)))))           # \x y z. z x y
 
 
 def bterm_to_lambda(e: bt.BTerm) -> LambdaTerm:
-    """Image of a B-term: leaves become the B combinator, applications map across."""
-    return _decode(_encode(e))
+    """Image of a B-term, built from its post-order: every leaf is the one B
+    combinator, applications map across."""
+    return bt._build(bt._codes(e), (), "", B, App, None)
 
 
 def lambda_to_tree(t: LambdaTerm) -> BinTree:
@@ -354,8 +356,7 @@ def _line(code: str) -> str:
 
 def _unline(text: str) -> str:
     code = text.encode("ascii").decode("unicode_escape")
-    if _encode(_decode(code)) != code:
-        raise ValueError(_NOT_ONE_TERM)
+    _decode(code)  # ValueError unless it is one term, which encodes back as code
     return code
 
 

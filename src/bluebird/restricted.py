@@ -65,15 +65,24 @@ class RConst(bt._Frozen):
         return f"RConst(k={self.k!r})"
 
 
-class RApp(bt._Printed):
+class RApp(bt._Frozen):
+    """Equality, hash and repr through the text, which a printer loop builds
+    without recursion."""
+
     __slots__ = ("fn", "arg")
 
     def __init__(self, fn: "RTerm", arg: "RTerm") -> None:
         _set_fn(self, fn)
         _set_arg(self, arg)
 
-    def _text(self) -> str:
-        return format_rterm(self)
+    def __eq__(self, other: object) -> bool:
+        return type(other) is RApp and format_rterm(self) == format_rterm(other)
+
+    def __hash__(self) -> int:
+        return hash(format_rterm(self))
+
+    def __repr__(self) -> str:
+        return f"RApp<{format_rterm(self)}>"
 
 
 _set_k, _set_fn, _set_arg = RConst.k.__set__, RApp.fn.__set__, RApp.arg.__set__
@@ -86,7 +95,7 @@ def parse_rterm(text: str) -> RTerm:
 
     Unlike B-term syntax, B^k is an atom by itself (the k-th constant).
     """
-    return bt._parse(text, RConst(0), RApp, RConst, then_b=False)
+    return bt._build(*bt._lex(text, False), text, RConst(0), RApp, RConst)
 
 
 def format_rterm(t: RTerm) -> str:

@@ -2,17 +2,20 @@
 twin that takes the same input and ends alike, with the same answer or
 exception: bb_walk (CStepper.walk) and cycles.Stepper over apply_poly,
 rr_walk (restricted.CStepper) and restricted.PyStepper, bb_fold (fold) and
-canonical._fold, ln_normal (lambda_oracle._normal) and _py_normal. The
-route is picked before the call (for a walk, when the search makes its
-stepper) by whether load returns the library and, for a walk, whether its
-numbers fit the C integers; a failed call is never rerun on the other one.
+canonical._fold, bb_parse (parse) and bterm._post_order, ln_normal
+(lambda_oracle._normal) and _py_normal. The route is picked before the
+call (for a walk, when the search makes its stepper) by whether load
+returns the library and, for a walk, whether its numbers fit the C
+integers, for a parse, whether the text is ASCII; a failed call is never
+rerun on the other one. parse and fold share buffers that grow to twice
+their size when too small.
 
 load(source) compiles a C source with cc on first use, into
 $XDG_CACHE_HOME/bluebird (else ~/.cache/bluebird) under a name made of the
 source's own name, CRC-32 and length, removes the libraries of earlier
 versions of that source from there, and loads it with ctypes, imported
-only then; it returns None when there is no compiler, the cache cannot be
-written or the library fails.
+only then (and subprocess only for a build); it returns None when there
+is no compiler, the cache cannot be written or the library fails.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import glob
 import os
 import zlib
 
+from . import bterm as bt
 from . import cycles
 from .canonical import _NOT_ONE_TERM, DegreeSeq, _seq
 
@@ -35,7 +39,6 @@ LIMIT = 1 << 62  # bound on every stored degree and multiplicity
 def load(source: str = SOURCE):
     """The loaded library of source, SOURCE, RSOURCE or LSOURCE, or None."""
     import ctypes
-    import subprocess
 
     name = os.path.basename(source)[1:-2]  # "walk" for _walk.c: no prefix is another's
     try:
@@ -45,11 +48,14 @@ def load(source: str = SOURCE):
                              or os.path.expanduser("~/.cache"), "bluebird")
         path = os.path.join(cache, f"{name}-{zlib.crc32(src):08x}-{len(src)}.so")
         if not os.path.exists(path):
+            import subprocess  # only a build needs it
+
             os.makedirs(cache, exist_ok=True)
             tmp = f"{path}.{os.getpid()}.tmp"
             try:
-                subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source],
-                               check=True, capture_output=True)
+                if subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source],
+                                  capture_output=True).returncode:
+                    return None
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
@@ -61,7 +67,7 @@ def load(source: str = SOURCE):
                     except OSError:
                         pass
         lib = ctypes.CDLL(path)
-    except (OSError, subprocess.CalledProcessError):
+    except OSError:
         return None
     ptr, int64, tables = ctypes.POINTER(ctypes.c_int64), ctypes.c_int64, ctypes.c_void_p
     if source == SOURCE:
@@ -69,6 +75,9 @@ def load(source: str = SOURCE):
         lib.bb_walk.restype = ctypes.c_int
         lib.bb_fold.argtypes = [ctypes.c_char_p, int64, ptr, int64]
         lib.bb_fold.restype = ctypes.c_int
+        lib.bb_parse.argtypes = [ctypes.c_char_p, int64, ctypes.c_int,
+                                 ctypes.POINTER(ctypes.c_ubyte), ptr, int64]
+        lib.bb_parse.restype = int64
     elif source == LSOURCE:
         lib.ln_normal.argtypes = [ctypes.c_char_p, int64, int64, ctypes.POINTER(ctypes.c_void_p)]
         lib.ln_normal.restype = int64
@@ -86,16 +95,41 @@ def load(source: str = SOURCE):
     return lib
 
 
+_bufs: dict = {}  # ctypes type -> the buffer of parse and fold that holds it
+
+
+def _room(ctype, n: int):
+    """A buffer of at least n ctype items, grown to at least twice its size
+    when it is too small, and shared by every call of parse and fold."""
+    buf = _bufs.get(ctype)
+    if buf is None or len(buf) < n:
+        buf = _bufs[ctype] = (ctype * max(n, 2 * len(buf or ())))()
+    return buf
+
+
 def fold(lib, codes: bytes) -> tuple[tuple[int, ...], int]:
     """The flat runs and offset of the term whose post-order is codes, 0 for
     B and any other code for an application, by lib's bb_fold; ValueError
     when the codes are not one term. canonical._fold is its twin."""
     import ctypes
 
-    out = (ctypes.c_int64 * (5 * len(codes) // 2 + 3))()  # bb_fold's 5 ints a leaf
+    out = _room(ctypes.c_int64, 5 * len(codes) // 2 + 3)  # bb_fold's 5 ints a leaf
     if lib.bb_fold(codes, len(codes), out, len(out)):
         raise ValueError(_NOT_ONE_TERM)
     return tuple(out[2:out[0] + 2]), out[1]
+
+
+def parse(lib, text: str, then_b: bool) -> tuple[bytes, list[int]]:
+    """The post-order codes and B^n digit spans of ASCII text, by lib's
+    bb_parse, or its ParseError. bterm._post_order is its twin."""
+    import ctypes
+
+    codes = _room(ctypes.c_ubyte, 2 * len(text))
+    out = _room(ctypes.c_int64, 1 + 2 * text.count("^") + text.count("("))
+    k = lib.bb_parse(text.encode("ascii"), len(text), then_b, codes, out, len(out))
+    if k < 0:
+        raise bt._error(text, -1 - k, out[0])
+    return ctypes.string_at(codes, k), out[1:2 * out[0] + 1]
 
 
 def fits(base: DegreeSeq, states: tuple[DegreeSeq, ...], max_steps: int) -> bool:

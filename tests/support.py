@@ -88,8 +88,9 @@ def _reference_tokens(text: str) -> list[tuple[str, int]]:
 
 
 def reference_parse(text: str, leaf=B, app=App, power=monomial, then_b: bool = True):
-    """bterm._parse by the lexer that its one findall replaced: one match
-    per token, each token kept with its position. With leaf, app, power and
+    """bterm.parse's lexer, parse loop and builder in one, by the lexer
+    that bterm._TOKEN's one scan replaced: one match per token, each token
+    kept with its position. With leaf, app, power and
     then_b as bterm.parse passes them by default, and as restricted's
     parse_rterm does with RConst(0), RApp, RConst and False. The package
     never imports it."""

@@ -164,6 +164,17 @@ class TestRho:
                              r"stepper=(c|py)", line)
             assert m and int(m[1]) > 1
 
+    @pytest.mark.parametrize("slow", ["", "\\x00", "\\x02\\x02"], ids=["empty", "app", "two"])
+    def test_lambda_state_not_one_term_exit_four(self, capsys, tmp_path, slow):
+        path = tmp_path / "ck"
+        assert run(capsys, "rho", "--engine", "lambda", "--max-steps", "5", "--checkpoint",
+                   str(path), "--checkpoint-interval", "1", "B B")[0] == 3
+        path.write_text(re.sub(r"(?m)^slow: .*$", lambda m: f"slow: {slow}", path.read_text()))
+        code, out, err = run(capsys, "rho", "--engine", "lambda", "--checkpoint", str(path),
+                             "--resume", "B B")
+        assert (code, out) == (4, "")
+        assert "not the prefix string of one lambda term" in err
+
     def test_resume_refuses_another_engine_or_term(self, capsys, tmp_path):
         path = str(tmp_path / "ck")
         assert run(capsys, "rho", "--engine", "restricted", "--checkpoint", path,

@@ -141,14 +141,15 @@ def test_import_loads_no_library():
 
 def test_lambda_oracle_loads_its_own_library_alone():
     # rho_lambda builds _lambda.c on its first normal form and asks for no
-    # engine's walk: the oracle shares no code with the engines it checks
+    # engine's walk: the oracle shares no code with the engines it checks.
+    # The term is built, not parsed, as parse lexes by the walk's library
     if walk.load(walk.LSOURCE) is None:
         pytest.skip("no C compiler to build the compiled machine")
     src = str(Path(bluebird.__file__).resolve().parents[1])
     code = ("from bluebird import lambda_oracle as lo, walk; "
             "real, asked = walk.load, set(); "
             "walk.load = lambda *a: asked.add(a) or real(*a); "
-            "print(tuple(lo.rho_lambda(lo.bterm_to_lambda(lo.bt.parse('B B')))), "
+            "print(tuple(lo.rho_lambda(lo.bterm_to_lambda(lo.bt.App(lo.bt.B, lo.bt.B)))), "
             "asked == {(walk.LSOURCE,)}, real.cache_info().currsize, "
             "real(walk.LSOURCE) is not None)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -7,7 +7,7 @@ Builds every src/bluebird/*.c with AddressSanitizer and UBSan
 temporary XDG_CACHE_HOME, under the names that walk.load looks for, so that
 the package loads these builds instead of making its own. It checks that
 it does, then runs the parity tests (test_walk, test_restricted,
-test_lambda_oracle, test_fast_apply, test_canonical) with the compiler's
+test_lambda_oracle, test_fast_apply, test_canonical, test_bterm) with the compiler's
 own libasan and libubsan preloaded into the interpreter, and pytest's
 output capture off, so that every sanitizer report reaches the tool's
 stderr, which it passes on. Exit 0 when the tests pass and no report was
@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 FLAGS = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover"]
 TESTS = ["test_walk", "test_restricted", "test_lambda_oracle", "test_fast_apply",
-         "test_canonical"]
+         "test_canonical", "test_bterm"]
 # in the child: the library walk.load picks for each source, one path a line
 LOADED = ("import sys; from bluebird import walk; "
           "[print(walk.load(s)._name) for s in sys.argv[1:]]")
